@@ -1,0 +1,9 @@
+"""Self-tests of the benchmark: run with ``python -m pytest perfbench/tests``
+from the root of the repository."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+sys.path[:0] = [BENCH, os.path.join(os.path.dirname(BENCH), "src")]
