@@ -8,9 +8,19 @@ afterwards.  Multiplying truncated matrices instead would corrupt the last
 columns of shift powers, so products of elements are normalized symbolically
 before they are materialized.
 
-Floating-point policy: radicands, q-powers, and weights are computed as
-exact rationals and rounded once at the end, so the 1e-12 comparisons in
-the test suite measure the mathematics rather than accumulation error.
+Floating-point policy: every monomial B^b C^k A^a is one band, sending v_n
+to q^(k(n-a)) sqrt({n-a+1}_q ... {n-a+max(a,b)}_q) v_(n-a+b), so columns are
+filled directly rather than through the symbolic ket action.  Each monomial
+coefficient is evaluated at q0 once per call, the q-powers q0^(k(n-a)) are
+exact running products, and the q-integer radicands come from an exact table
+over the window the requested columns touch.  Terms with equal (b, a) share
+target and radicand and merge exactly, as in ``lie.apply_symbolic``; each
+merged scalar c * sqrt(r) is then rounded once, as sqrt(float(c^2 r)) with the
+sign of c.  The values are therefore the same exact rationals that
+``apply_symbolic(x, n).numeric(q0)`` rounds, and the columns agree with it
+bit for bit (the tests hold them to it as the exact oracle).  Weights are
+rounded once from the same exact q-integers, so the 1e-12 comparisons in the
+test suite measure the mathematics rather than accumulation error.
 
 The windowed geometric-mean estimators converge to the spectral radius from
 below; the lower-index estimator attains its infimum at n = 0, where it
@@ -29,14 +39,15 @@ route is what the verification tolerances rely on.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
 from .algebra import Element
-from .lie import apply_symbolic
-from .ratfun import RF_ONE, RF_ONE_MINUS_Q, RatFun, qbracket_value
+from .ratfun import RF_ONE, RF_ONE_MINUS_Q, RatFun
 
 #: magnitudes below this are purged from sparse vectors
 PURGE_EPS = 1e-300
@@ -66,9 +77,19 @@ class NumericQ:
         return float(self.value)
 
 
-def _alpha_sq(q0: Fraction, n: int) -> Fraction:
-    """Exact squared weight {n+1}_q at q0."""
-    return qbracket_value(n + 1, q0)
+def _qintegers(q0: Fraction, lo: int):
+    """Exact q-integers {lo}_q, {lo+1}_q, ... for lo >= 1.  With q0 = u/v,
+    {m}_q = N_m / v^(m-1) where N_m = (v^m - u^m)/(v - u) obeys
+    N_(m+1) = v N_m + u^m, so no entry needs a rational power of its own."""
+    u, v = q0.numerator, q0.denominator
+    u_power = u**lo
+    num = (v**lo - u_power) // (v - u)
+    den = v ** (lo - 1)
+    while True:
+        yield Fraction(num, den)
+        num = v * num + u_power
+        u_power *= u
+        den *= v
 
 
 @dataclass(frozen=True)
@@ -84,17 +105,64 @@ def weights(q0, N: int) -> WeightSequence:
     if N < 1:
         raise ValueError("need at least one weight")
     q0 = NumericQ.coerce(q0)
-    vals = tuple(math.sqrt(float(_alpha_sq(q0.value, n))) for n in range(N))
+    vals = tuple(math.sqrt(float(sq)) for sq in islice(_qintegers(q0.value, 1), N))
     return WeightSequence(q0=q0, values=vals)
 
 
+def _columns(x: Element, q0: Fraction, start: int, stop: int):
+    """Yield the numeric image of v_n under x for each n in [start, stop),
+    as a map from target index to value with entries below the purge
+    threshold dropped; see the module notes for the rounding policy."""
+    groups = {}
+    for bw, c in x.terms.items():
+        if bw.a < stop:
+            groups.setdefault((bw.b, bw.a), []).append((bw.k, c.evaluate(q0)))
+    if not groups:
+        for _ in range(start, stop):
+            yield {}
+        return
+    max_a = max(a for _, a in groups)
+    max_b = max(b for b, _ in groups)
+    # column n reads {n-max_a+1}_q .. {n+max_b}_q: a sliding window over the
+    # exact q-integers, whose entries grow linearly in size with the index
+    lo = max(start - max_a, 0) + 1
+    qints = _qintegers(q0, lo)
+    window = deque()
+    # (b, a, coefficient values, q0^k, running q0^(k m) at the current column)
+    bands = []
+    for (b, a), parts in groups.items():
+        m0 = max(start - a, 0)
+        bands.append((b, a, [c for _, c in parts], [q0**k for k, _ in parts], [q0 ** (k * m0) for k, _ in parts]))
+    for n in range(start, stop):
+        while lo + len(window) <= n + max_b:
+            window.append(next(qints))
+        while lo < n - max_a + 1:
+            window.popleft()
+            lo += 1
+        # b*a = 0, so distinct (b, a) send v_n to distinct targets n - a + b
+        # and each target holds exactly one merged scalar
+        col = {}
+        for b, a, coeffs, steps, powers in bands:
+            if n < a:
+                continue
+            m = n - a
+            cval = sum(c * p for c, p in zip(coeffs, powers))
+            powers[:] = [p * s for p, s in zip(powers, steps)]
+            if cval != 0:
+                rad = math.prod(islice(window, m + 1 - lo, m + 1 + a + b - lo))
+                mag = math.sqrt(float(cval * cval * rad))
+                if mag >= PURGE_EPS:
+                    col[m + b] = mag if cval > 0 else -mag
+        yield col
+
+
 def apply_numeric(x: Element, n: int, q0) -> dict:
-    """Numeric image of basis vector v_n under x: the exact symbolic action
-    evaluated at q0, one rounding per merged scalar.  Entries below the
-    purge threshold are dropped."""
+    """Numeric image of basis vector v_n under x at q0, one rounding per
+    merged scalar.  Entries below the purge threshold are dropped."""
+    if n < 0:
+        raise ValueError("basis index must be nonnegative")
     q0 = NumericQ.coerce(q0)
-    out = apply_symbolic(x, n).numeric(q0.value)
-    return {idx: v for idx, v in out.items() if abs(v) >= PURGE_EPS}
+    return next(_columns(x, q0.value, n, n + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,8 +184,8 @@ def matrix(x: Element, q0, N: int) -> TruncatedMatrix:
         raise ValueError("matrix dimension must be positive")
     q0 = NumericQ.coerce(q0)
     data = np.zeros((N, N))
-    for j in range(N):
-        for idx, v in apply_numeric(x, j, q0).items():
+    for j, col in enumerate(_columns(x, q0.value, 0, N)):
+        for idx, v in col.items():
             if idx < N:
                 data[idx, j] = v
     return TruncatedMatrix(dim=N, q0=q0, data=data, source=str(x))
@@ -187,39 +255,28 @@ def op_norm(
     raise ValueError(f"unknown method {method!r} (expected 'svd' or 'power')")
 
 
-def _log_weights(q0: NumericQ, N: int) -> np.ndarray:
-    return np.array([0.5 * math.log(float(_alpha_sq(q0.value, n))) for n in range(N)])
+def _window_means(q0, kmax: int, N: int, pick) -> list:
+    """For each window length k <= kmax, ``pick`` (max or min) over n < N-k
+    of the geometric mean of the k consecutive weights from n on."""
+    if kmax < 1 or N <= kmax:
+        raise ValueError("need kmax >= 1 and N > kmax")
+    q0 = NumericQ.coerce(q0)
+    logs = np.array([0.5 * math.log(float(sq)) for sq in islice(_qintegers(q0.value, 1), N)])
+    csum = np.concatenate([[0.0], np.cumsum(logs)])
+    return [float(math.exp(pick(csum[k:N] - csum[0 : N - k]) / k)) for k in range(1, kmax + 1)]
 
 
 def spectral_radius_est(q0, kmax: int, N: int):
     """For each window length k <= kmax, the sup over n < N-k of the
     geometric mean of k consecutive weights; the final entry estimates the
     spectral radius of the shift."""
-    if kmax < 1 or N <= kmax:
-        raise ValueError("need kmax >= 1 and N > kmax")
-    q0 = NumericQ.coerce(q0)
-    logs = _log_weights(q0, N)
-    csum = np.concatenate([[0.0], np.cumsum(logs)])
-    out = []
-    for k in range(1, kmax + 1):
-        spans = csum[k : N] - csum[0 : N - k]
-        out.append(float(math.exp(np.max(spans) / k)))
-    return out
+    return _window_means(q0, kmax, N, np.max)
 
 
 def lower_index_est(q0, kmax: int, N: int):
     """Windowed geometric-mean infima; monotonically increasing in k with
     O(1/k) convergence toward (1-q)^(-1/2) (the infimum sits at n = 0)."""
-    if kmax < 1 or N <= kmax:
-        raise ValueError("need kmax >= 1 and N > kmax")
-    q0 = NumericQ.coerce(q0)
-    logs = _log_weights(q0, N)
-    csum = np.concatenate([[0.0], np.cumsum(logs)])
-    out = []
-    for k in range(1, kmax + 1):
-        spans = csum[k : N] - csum[0 : N - k]
-        out.append(float(math.exp(np.min(spans) / k)))
-    return out
+    return _window_means(q0, kmax, N, np.min)
 
 
 @dataclass(frozen=True)
@@ -350,12 +407,11 @@ class DecayReport:
 
 
 def compact_decay_report(x: Element, q0, N: int) -> DecayReport:
+    if N < 1:
+        raise ValueError("decay report needs at least one column")
     q0 = NumericQ.coerce(q0)
-    tail = []
-    for n in range(N):
-        vec = apply_numeric(x, n, q0)
-        tail.append(math.sqrt(sum(v * v for v in vec.values())))
-    peak = max(tail) if tail else 0.0
+    tail = [math.sqrt(sum(v * v for v in col.values())) for col in _columns(x, q0.value, 0, N)]
+    peak = max(tail)
     if peak == 0.0 or tail[-1] < 0.5 * peak:
         verdict = "consistent-with-compact"
     else:

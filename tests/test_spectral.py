@@ -8,11 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import basis_words_up_to
-from qheis.algebra import A, B, C, Element, I, element_power, multiply, normalize
+from conftest import basis_words_up_to, random_element
+from qheis.algebra import A, B, BasisWord, C, Element, I, element_power, multiply, normalize
 from qheis.lie import apply_symbolic
-from qheis.ratfun import RF_Q
+from qheis.ratfun import RF_ONE, RF_ONE_MINUS_Q, RF_Q, PoleError, RatFun, qbracket_value
 from qheis.spectral import (
+    PURGE_EPS,
     NonConvergenceError,
     NumericQ,
     apply_numeric,
@@ -28,6 +29,7 @@ from qheis.spectral import (
 
 HALF = NumericQ(Fraction(1, 2))
 SQRT2 = math.sqrt(2)
+ORACLE_QS = (Fraction(1, 2), Fraction(1, 3), Fraction(5, 7))
 
 
 def test_numeric_q_validation():
@@ -60,9 +62,68 @@ def test_apply_numeric_matches_symbolic():
         for n in range(11):
             sym = apply_symbolic(x, n).numeric(HALF.value)
             num = apply_numeric(x, n, HALF)
-            assert set(sym) == set(num)
-            for idx in sym:
-                assert num[idx] == pytest.approx(sym[idx], abs=1e-12)
+            assert num == sym
+
+
+def _oracle_column(x, n, q):
+    """The exact symbolic action rounded once per merged scalar, with the
+    purge threshold of the numeric route applied."""
+    return {i: v for i, v in apply_symbolic(x, n).numeric(q).items() if abs(v) >= PURGE_EPS}
+
+
+def _oracle_elements():
+    rng = random.Random(3)
+    q_over = RF_Q / RF_ONE_MINUS_Q
+    inv = RF_ONE / RF_ONE_MINUS_Q
+    third = RatFun.from_fraction(Fraction(1, 3))
+    # terms with equal (b, a) and different k share target and radicand and
+    # must merge before rounding; C - I cancels exactly on v_0
+    merged = [
+        Element({BasisWord(2, 0, 0): q_over, BasisWord(2, 1, 0): 3 * RF_ONE, BasisWord(2, 3, 0): -inv}),
+        Element({BasisWord(0, 1, 2): q_over, BasisWord(0, 3, 2): RF_ONE, BasisWord(0, 0, 2): third}),
+        Element({BasisWord(0, 1, 0): RF_ONE, BasisWord(0, 0, 0): -RF_ONE, BasisWord(1, 2, 0): q_over}),
+        Element({BasisWord(1, 0, 0): inv, BasisWord(1, 2, 0): -RF_Q, BasisWord(0, 2, 1): q_over, BasisWord(0, 0, 1): RF_ONE}),
+    ]
+    return merged + [random_element(rng, max_terms=5) for _ in range(24)]
+
+
+@pytest.mark.parametrize("q", ORACLE_QS, ids=str)
+def test_band_fill_equals_symbolic_oracle_bitwise(q):
+    N = 18
+    for x in _oracle_elements():
+        data = matrix(x, q, N).data
+        tail = compact_decay_report(x, q, N).tail
+        for n in range(N):
+            want = _oracle_column(x, n, q)
+            assert apply_numeric(x, n, q) == want, (str(x), n)
+            column = np.zeros(N)
+            for i, v in want.items():
+                if i < N:
+                    column[i] = v
+            assert (data[:, n] == column).all(), (str(x), n)
+            assert tail[n] == math.sqrt(sum(v * v for v in want.values())), (str(x), n)
+
+
+def test_pole_at_q0_raises():
+    pole = Element.monomial(1, 1, 0, RF_ONE / (RF_ONE - 2 * RF_Q)) + C
+    with pytest.raises(PoleError):
+        matrix(pole, HALF, 6)
+    with pytest.raises(PoleError):
+        apply_numeric(pole, 3, HALF)
+    with pytest.raises(PoleError):
+        compact_decay_report(pole, HALF, 6)
+    assert matrix(pole, Fraction(1, 3), 6).data[1, 0] == 3.0
+
+
+def test_weights_and_estimators_from_exact_qintegers():
+    for q in ORACLE_QS:
+        exact = [qbracket_value(n + 1, q) for n in range(300)]
+        assert weights(q, 300).values == tuple(math.sqrt(float(v)) for v in exact)
+        logs = np.array([0.5 * math.log(float(v)) for v in exact])
+        csum = np.concatenate([[0.0], np.cumsum(logs)])
+        spans = [csum[k:300] - csum[0 : 300 - k] for k in range(1, 41)]
+        assert spectral_radius_est(q, 40, 300) == [math.exp(np.max(s) / k) for k, s in enumerate(spans, 1)]
+        assert lower_index_est(q, 40, 300) == [math.exp(np.min(s) / k) for k, s in enumerate(spans, 1)]
 
 
 def test_matrix_examples():
@@ -112,6 +173,31 @@ def test_op_norm_shift_powers():
 def test_op_norm_diagonal_powers():
     for k in range(1, 4):
         assert abs(op_norm(element_power(C, k), HALF, 50) - 1.0) < 1e-12
+
+
+def _monomial_norm(bw, c, q, N):
+    """A monomial is a weighted shift: its truncated norm is |c(q0)| times
+    the largest weight product over the columns whose image stays below N,
+    here computed in floating point from (1 - q^j)/(1 - q)."""
+    qf = float(q)
+    best = 0.0
+    for n in range(bw.a, N):
+        m = n - bw.a
+        if m + bw.b >= N:
+            break
+        rad = math.prod((1 - qf**j) / (1 - qf) for j in range(m + 1, m + 1 + bw.a + bw.b))
+        best = max(best, qf ** (bw.k * m) * math.sqrt(rad))
+    return abs(float(c.evaluate(q))) * best
+
+
+def test_op_norm_equals_monomial_weight_oracle():
+    coeff = -3 * RF_Q / RF_ONE_MINUS_Q
+    words = [bw for bw in basis_words_up_to(4) if bw.degree <= 4]
+    for N in (40, 120):
+        for bw in words:
+            want = _monomial_norm(bw, coeff, HALF.value, N)
+            got = op_norm(Element.monomial(bw.b, bw.k, bw.a, coeff), HALF, N)
+            assert abs(got - want) <= 1e-12 * want, (str(bw), N, got, want)
 
 
 def test_op_norm_power_method():
@@ -209,3 +295,8 @@ def test_compact_decay_reports():
     assert mixed.verdict == "non-compact-witness"
     assert min(mixed.tail) > 1.0
     assert compact_decay_report(Element.zero(), HALF, 10).verdict == "consistent-with-compact"
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            compact_decay_report(C, HALF, bad)
+    with pytest.raises(ValueError):
+        apply_numeric(C, -1, HALF)
