@@ -113,6 +113,16 @@ def test_pole_at_q0_raises():
     with pytest.raises(PoleError):
         compact_decay_report(pole, HALF, 6)
     assert matrix(pole, Fraction(1, 3), 6).data[1, 0] == 3.0
+    # (A - 2 C A)/(1-2q) sends v_2 to sqrt({2}_q) v_1: the pole cancels only
+    # after the two terms merge, which the per-term evaluation does not do
+    cancelled = Element.monomial(0, 0, 1, RF_ONE / (RF_ONE - 2 * RF_Q)) + Element.monomial(
+        0, 1, 1, -2 * RF_ONE / (RF_ONE - 2 * RF_Q)
+    )
+    assert apply_symbolic(cancelled, 2).numeric(HALF.value) == {1: math.sqrt(1.5)}
+    with pytest.raises(PoleError):
+        matrix(cancelled, HALF, 3)
+    with pytest.raises(PoleError):
+        apply_numeric(cancelled, 2, HALF)
 
 
 def test_weights_and_estimators_from_exact_qintegers():
