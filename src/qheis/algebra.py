@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ratfun import RF_ONE, RF_ONE_MINUS_Q, RatFun, as_ratfun
+from .ratfun import RF_ONE, RF_ONE_MINUS_Q, LinComb, RatFun
 from .rewrite import FreeElement, RuleSet, Word, normalize_free, word, word_str
 
 
@@ -79,29 +79,15 @@ class StuckWordError(ValueError):
         )
 
 
-class Element:
+class Element(LinComb):
     """Member of the algebra in normal form: a term map BasisWord -> RatFun
     with no zero coefficients stored."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for bw, c in terms.items():
-                if not isinstance(bw, BasisWord):
-                    bw = BasisWord(*bw)
-                c = as_ratfun(c)
-                if not c.is_zero():
-                    clean[bw] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Element is immutable")
-
-    @classmethod
-    def zero(cls) -> "Element":
-        return cls()
+    @staticmethod
+    def _key(bw) -> BasisWord:
+        return bw if isinstance(bw, BasisWord) else BasisWord(*bw)
 
     @classmethod
     def monomial(cls, b: int, k: int, a: int, coeff=RF_ONE) -> "Element":
@@ -111,42 +97,18 @@ class Element:
     def scalar(cls, c) -> "Element":
         return cls({BasisWord(0, 0, 0): c})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coeff(self, bw) -> RatFun:
-        if not isinstance(bw, BasisWord):
-            bw = BasisWord(*bw)
-        return self.terms.get(bw, RatFun.zero())
+        return self.terms.get(self._key(bw), RatFun.zero())
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: item[0].grade_key())
 
+    @staticmethod
+    def _term_text(bw, c) -> str:
+        return f"{c}*{bw}"
+
     def free(self) -> FreeElement:
         return FreeElement({bw.word(): c for bw, c in self.terms.items()})
-
-    def __add__(self, other: "Element") -> "Element":
-        if not isinstance(other, Element):
-            return NotImplemented
-        out = dict(self.terms)
-        for bw, c in other.terms.items():
-            s = out.get(bw)
-            out[bw] = c if s is None else s + c
-        return Element(out)
-
-    def __neg__(self) -> "Element":
-        return Element({bw: -c for bw, c in self.terms.items()})
-
-    def __sub__(self, other: "Element") -> "Element":
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c) -> "Element":
-        c = as_ratfun(c)
-        if c.is_zero():
-            return Element()
-        return Element({bw: c * x for bw, x in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -165,20 +127,6 @@ class Element:
     def __pow__(self, m: int) -> "Element":
         return element_power(self, m)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Element) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*{bw}" for bw, c in self.sorted_terms())
-
-    def __repr__(self) -> str:
-        return f"Element({self})"
-
 
 I = Element.monomial(0, 0, 0)
 A = Element.monomial(0, 0, 1)
@@ -190,18 +138,17 @@ PRINTED = RuleSet.printed()
 
 
 def _free_to_element(fe: FreeElement, rules: RuleSet) -> Element:
+    # distinct words classify to distinct basis words: nothing to merge
     terms = {}
     stuck = []
     for w, c in fe.terms.items():
         try:
-            bw = _classify_word(w)
+            terms[_classify_word(w)] = c
         except ValueError:
             stuck.append(w)
-            continue
-        terms[bw] = terms.get(bw, RatFun.zero()) + c
     if stuck:
         raise StuckWordError(sorted(stuck), fe)
-    return Element(terms)
+    return Element._of(terms)
 
 
 def reduce_word(w, rules: RuleSet = COMPLETED) -> Element:
@@ -224,13 +171,14 @@ def normalize(x, rules: RuleSet = COMPLETED) -> Element:
 
 def multiply(x: Element, y: Element, rules: RuleSet = COMPLETED) -> Element:
     """Product in the algebra: concatenate words termwise, then reduce."""
-    acc = FreeElement()
-    for bx, cx in x.terms.items():
-        wx = bx.word()
-        for by, cy in y.terms.items():
-            acc = acc + normalize_free(
-                FreeElement.of_word(wx + by.word(), cx * cy), rules
-            )
+    acc = FreeElement.collect(
+        item
+        for bx, cx in x.terms.items()
+        for by, cy in y.terms.items()
+        for item in normalize_free(
+            FreeElement.of_word(bx.word() + by.word(), cx * cy), rules
+        ).terms.items()
+    )
     return _free_to_element(acc, rules)
 
 
@@ -273,13 +221,11 @@ def _gen_action(letter: str, bw: BasisWord) -> Element:
 def _cascade_word(wx: Word, y: Element) -> Element:
     acc = y
     for letter in reversed(wx):
-        nxt = {}
-        for bw, c in acc.terms.items():
-            for bw2, c2 in _gen_action(letter, bw).terms.items():
-                prev = nxt.get(bw2)
-                val = c * c2
-                nxt[bw2] = val if prev is None else prev + val
-        acc = Element(nxt)
+        acc = Element.collect(
+            (bw2, c * c2)
+            for bw, c in acc.terms.items()
+            for bw2, c2 in _gen_action(letter, bw).terms.items()
+        )
     return acc
 
 
@@ -287,10 +233,11 @@ def multiply_cascade(x: Element, y: Element) -> Element:
     """Product computed by folding x's letters onto y's normal form with the
     closed-form generator actions.  Independent of the rewrite engine; must
     agree with :func:`multiply` on everything."""
-    acc = Element.zero()
-    for bx, cx in x.terms.items():
-        acc = acc + _cascade_word(bx.word(), y).scale(cx)
-    return acc
+    return Element.collect(
+        (bw, cx * c)
+        for bx, cx in x.terms.items()
+        for bw, c in _cascade_word(bx.word(), y).terms.items()
+    )
 
 
 def bracket(x: Element, y: Element) -> Element:

@@ -84,11 +84,14 @@ def _parse_complex(text: str) -> complex:
 
 
 def _cmd_normalize(args):
-    # reduce the expression's words under the chosen rules: with the printed
-    # rules, irreducible non-basis words are reported, not coerced
+    # the completed rules give every word one normal form, so the expression
+    # is reduced as it is evaluated; the printed rules reduce its expanded
+    # free word sum, so irreducible non-basis words are reported, not coerced
     rules = rewrite.RuleSet.by_name(args.rules)
-    free = expr.eval_ast_free(expr.parse(args.expr))
-    x = algebra.normalize(free, rules)
+    if rules is algebra.COMPLETED:
+        x = expr.evaluate(args.expr)
+    else:
+        x = algebra.normalize(expr.eval_ast_free(expr.parse(args.expr)), rules)
     return _element_payload(x), [expr.element_text(x)]
 
 

@@ -361,14 +361,9 @@ def eval_ast_free(node) -> FreeElement:
 
 
 def _free_product(x: FreeElement, y: FreeElement) -> FreeElement:
-    terms = {}
-    for wx, cx in x.terms.items():
-        for wy, cy in y.terms.items():
-            w = wx + wy
-            prod = cx * cy
-            prev = terms.get(w)
-            terms[w] = prod if prev is None else prev + prod
-    return FreeElement(terms)
+    return FreeElement.collect(
+        (wx + wy, cx * cy) for wx, cx in x.terms.items() for wy, cy in y.terms.items()
+    )
 
 
 def parse_ratfun(text: str) -> RatFun:
@@ -405,12 +400,6 @@ def _fraction_json(c: Fraction):
     return f"{c.numerator}/{c.denominator}"
 
 
-def _fraction_from_json(v) -> Fraction:
-    if isinstance(v, int):
-        return Fraction(v)
-    return Fraction(v)
-
-
 def ratfun_json(c: RatFun) -> dict:
     return {
         "num": [_fraction_json(x) for x in c.num.coeffs],
@@ -419,8 +408,8 @@ def ratfun_json(c: RatFun) -> dict:
 
 
 def ratfun_from_json(doc) -> RatFun:
-    num = QPolynomial([_fraction_from_json(v) for v in doc["num"]])
-    den = QPolynomial([_fraction_from_json(v) for v in doc["den"]])
+    num = QPolynomial([Fraction(v) for v in doc["num"]])
+    den = QPolynomial([Fraction(v) for v in doc["den"]])
     return RatFun(num, den)
 
 
@@ -434,11 +423,9 @@ def element_json(x: Element) -> dict:
 
 
 def element_from_json(doc) -> Element:
-    terms = {}
-    for t in doc["terms"]:
-        bw = BasisWord(t["b"], t["k"], t["a"])
-        terms[bw] = terms.get(bw, RatFun.zero()) + ratfun_from_json(t["coeff"])
-    return Element(terms)
+    return Element.collect(
+        (BasisWord(t["b"], t["k"], t["a"]), ratfun_from_json(t["coeff"])) for t in doc["terms"]
+    )
 
 
 def format_element(x: Element, mode: str = "text"):

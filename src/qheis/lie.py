@@ -18,10 +18,11 @@ which is what makes the residual checks below exact rather than numeric.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .algebra import A, B, BasisWord, C, Element, I, bracket, multiply
-from .ratfun import RF_ONE, RF_ONE_MINUS_Q, RatFun, as_ratfun, qbracket, qbracket_value
+from .ratfun import RF_ONE, RF_ONE_MINUS_Q, LinComb, RatFun, as_ratfun, qbracket, qbracket_value
 
 
 # -- Lie / non-Lie decomposition ---------------------------------------------
@@ -76,82 +77,35 @@ def is_compact(x: Element) -> bool:
 # -- Laurent polynomial image modulo compacts --------------------------------
 
 
-class LaurentPoly:
+class LaurentPoly(LinComb):
     """Finite linear combination of integral powers of D, the image of B
     modulo compact operators.  The image of A is (1-q)^(-1) D^(-1)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs=None):
-        clean = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = as_ratfun(c)
-                if not c.is_zero():
-                    clean[int(e)] = c
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
+    _key = staticmethod(operator.index)
 
     @classmethod
     def monomial(cls, power: int, coeff=RF_ONE) -> "LaurentPoly":
         return cls({power: coeff})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e)
-            out[e] = c if s is None else s + c
-        return LaurentPoly(out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                prod = c1 * c2
-                s = out.get(e)
-                out[e] = prod if s is None else s + prod
-        return LaurentPoly(out)
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return LaurentPoly.collect(
+            (e1 + e2, c1 * c2) for e1, c1 in self.terms.items() for e2, c2 in other.terms.items()
+        )
 
     def sorted_terms(self):
-        return sorted(self.coeffs.items())
+        return sorted(self.terms.items())
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e, c in self.sorted_terms():
-            if e == 0:
-                parts.append(f"{c}*1")
-            elif e == 1:
-                parts.append(f"{c}*D")
-            else:
-                parts.append(f"{c}*D^{e}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self})"
+    @staticmethod
+    def _term_text(e, c) -> str:
+        if e == 0:
+            return f"{c}*1"
+        if e == 1:
+            return f"{c}*D"
+        return f"{c}*D^{e}"
 
 
 def calkin_image(x: Element) -> LaurentPoly:
@@ -161,18 +115,10 @@ def calkin_image(x: Element) -> LaurentPoly:
     (1-q)^(-l) D^(-l).  Multiplicativity of this map is checked by the
     test suite, not assumed here.
     """
-    out = {}
-    for bw, c in x.terms.items():
-        if bw.k >= 1:
-            continue
-        if bw.a:
-            e = -bw.a
-            c = c * (RF_ONE / RF_ONE_MINUS_Q) ** bw.a
-        else:
-            e = bw.b
-        s = out.get(e)
-        out[e] = c if s is None else s + c
-    return LaurentPoly(out)
+    inv = RF_ONE / RF_ONE_MINUS_Q
+    return LaurentPoly.collect(
+        (-bw.a, c * inv**bw.a) if bw.a else (bw.b, c) for bw, c in x.terms.items() if bw.k == 0
+    )
 
 
 # -- identity verification ----------------------------------------------------
@@ -342,59 +288,36 @@ class SqrtScalar:
         return f"{self.coeff}*sqrt({prod})"
 
 
-class KetImage:
-    """Exact image of a basis vector under an element: a finite map from
-    target index to merged square-root scalars.  The empty map is the zero
-    vector."""
+class KetImage(LinComb):
+    """Exact image of a basis vector under an element: a combination of
+    square-root scalars keyed by (target index, radicand).  The zero
+    combination is the zero vector."""
 
-    __slots__ = ("entries",)
-
-    def __init__(self, entries=None):
-        clean = {}
-        if entries:
-            for target, group in entries.items():
-                kept = {rad: c for rad, c in group.items() if not c.is_zero()}
-                if kept:
-                    clean[int(target)] = kept
-        object.__setattr__(self, "entries", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KetImage is immutable")
-
-    def is_zero(self) -> bool:
-        return not self.entries
+    __slots__ = ()
 
     def targets(self):
-        return sorted(self.entries)
+        return sorted({target for target, _rad in self.terms})
 
     def scalars(self, target: int):
-        group = self.entries.get(target, {})
-        return [SqrtScalar(c, rad) for rad, c in sorted(group.items())]
+        return [SqrtScalar(c, rad) for (t, rad), c in sorted(self.terms.items()) if t == target]
 
     def numeric(self, q0) -> dict:
         """Float value per target index at a rational q0: exact rational
         coefficient and radicand, one final rounding per scalar."""
         out = {}
-        for target, group in self.entries.items():
-            total = 0.0
-            for rad, c in group.items():
-                cval = c.evaluate(q0)
-                if cval == 0:
-                    continue
-                rval = 1
-                for m in rad:
-                    rval *= qbracket_value(m, q0)
-                mag = math.sqrt(float(cval * cval * rval))
-                total += mag if cval > 0 else -mag
-            if total != 0.0:
-                out[target] = total
-        return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, KetImage) and self.entries == other.entries
+        for (target, rad), c in self.terms.items():
+            cval = c.evaluate(q0)
+            if cval == 0:
+                continue
+            rval = 1
+            for m in rad:
+                rval *= qbracket_value(m, q0)
+            mag = math.sqrt(float(cval * cval * rval))
+            out[target] = out.get(target, 0.0) + (mag if cval > 0 else -mag)
+        return {target: v for target, v in out.items() if v != 0.0}
 
     def __str__(self) -> str:
-        if not self.entries:
+        if not self.terms:
             return "0"
         parts = []
         for target in self.targets():
@@ -402,26 +325,19 @@ class KetImage:
             parts.append(f"({body})*v_{target}")
         return " + ".join(parts)
 
-    def __repr__(self) -> str:
-        return f"KetImage({self})"
-
 
 def apply_symbolic(x: Element, n: int) -> KetImage:
     """Exact image of the basis vector v_n under x."""
     if n < 0:
         raise ValueError("basis index must be nonnegative")
-    entries = {}
+    pairs = []
     for bw, c in x.terms.items():
         if n < bw.a:
             continue
         m = n - bw.a
-        coeff = c * RatFun.q_power(bw.k * m)
         rad = tuple(sorted([n - i for i in range(bw.a)] + [m + j for j in range(1, bw.b + 1)]))
-        target = m + bw.b
-        group = entries.setdefault(target, {})
-        prev = group.get(rad)
-        group[rad] = coeff if prev is None else prev + coeff
-    return KetImage(entries)
+        pairs.append(((m + bw.b, rad), c * RatFun.q_power(bw.k * m)))
+    return KetImage.collect(pairs)
 
 
 # -- Lie surrogates for pure generator powers ---------------------------------

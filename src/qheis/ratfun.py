@@ -8,6 +8,11 @@ equality is semantic equality:
   ordinary rationals (`fractions.Fraction`) as entries and no trailing zero.
 * ``RatFun`` stores a reduced fraction num/den of two polynomials with
   gcd(num, den) = 1 and a *monic* denominator.
+* ``LinComb`` is a finite linear combination with ``RatFun`` coefficients
+  over hashable keys, stored as a term map with no zero coefficient.  The
+  engine's algebra elements, free word sums, Laurent images and ket images
+  are its subclasses, and ``LinComb.collect`` is the one place where terms
+  are summed.
 
 Coefficients are real rational functions throughout; complex conjugation
 acts as the identity on them.  Degrees stay small in this package (tens,
@@ -395,3 +400,95 @@ def qbracket_value(n: int, q0) -> Fraction:
     if q0 == 1:
         return Fraction(n)
     return (1 - q0**n) / (1 - q0)
+
+
+class LinComb:
+    """Immutable finite linear combination: a term map key -> RatFun with no
+    zero coefficient stored, so ``==`` on term maps is equality.
+
+    Subclasses fix the keys (``_key`` coerces each one) and the rendering
+    (``sorted_terms`` and ``_term_text``).  ``collect`` sums a stream of
+    (key, coefficient) pairs: a key holds its running sum and leaves the map
+    whenever that sum is zero, so summing whole combinations one after
+    another through it keeps the term order that adding them with ``+`` one
+    at a time gives.  Numeric code sums floats in term order, so that order
+    is part of the result.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        object.__setattr__(self, "terms", self._sum(terms.items() if terms else ()))
+
+    @staticmethod
+    def _key(k):
+        return k
+
+    @classmethod
+    def _sum(cls, pairs) -> dict:
+        key = cls._key
+        acc = {}
+        for k, c in pairs:
+            k = key(k)
+            prev = acc.get(k)
+            c = as_ratfun(c) if prev is None else prev + c
+            if c.is_zero():
+                acc.pop(k, None)
+            else:
+                acc[k] = c
+        return acc
+
+    @classmethod
+    def _of(cls, terms: dict):
+        """Wrap a term map that already has coerced keys and no zeros."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        return out
+
+    @classmethod
+    def collect(cls, pairs):
+        """Sum of the (key, coefficient) pairs as a new combination."""
+        return cls._of(cls._sum(pairs))
+
+    @classmethod
+    def zero(cls):
+        return cls._of({})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.collect((*self.terms.items(), *other.terms.items()))
+
+    def __neg__(self):
+        return self._of({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, c):
+        c = as_ratfun(c)
+        if c.is_zero():
+            return self.zero()
+        return self._of({k: c * x for k, x in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        return " + ".join(self._term_text(k, c) for k, c in self.sorted_terms())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"

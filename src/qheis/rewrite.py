@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ratfun import RF_ONE, RF_ONE_MINUS_Q, RatFun, as_ratfun
+from .ratfun import RF_ONE, RF_ONE_MINUS_Q, LinComb, RatFun
 
 #: Words are tuples of single-letter generator names.
 LETTERS = ("A", "B", "C")
@@ -62,80 +62,28 @@ def word_str(w: Word) -> str:
     return "".join(w) if w else "I"
 
 
-class FreeElement:
+class FreeElement(LinComb):
     """Finite linear combination of free words with RatFun coefficients.
 
     Zero coefficients are purged on construction, so structural equality of
     the term maps is equality of free-algebra elements.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for w, c in terms.items():
-                c = as_ratfun(c)
-                if not c.is_zero():
-                    clean[w] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FreeElement is immutable")
-
-    @classmethod
-    def zero(cls) -> "FreeElement":
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def of_word(cls, w: Word, coeff=RF_ONE) -> "FreeElement":
         return cls({w: coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "FreeElement") -> "FreeElement":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, None)
-            out[w] = c if s is None else s + c
-        return FreeElement(out)
-
-    def __neg__(self) -> "FreeElement":
-        return FreeElement({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "FreeElement") -> "FreeElement":
-        return self + (-other)
-
-    def scale(self, c) -> "FreeElement":
-        c = as_ratfun(c)
-        if c.is_zero():
-            return FreeElement()
-        return FreeElement({w: c * x for w, x in self.terms.items()})
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: (len(item[0]), item[0]))
-
-    def key(self):
-        """Hashable canonical identity, usable in visited sets."""
-        return frozenset(self.terms.items())
 
     def sort_key(self):
         return tuple((w, c.sort_key()) for w, c in self.sorted_terms())
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FreeElement) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(self.key())
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*{word_str(w)}" for w, c in self.sorted_terms())
-
-    def __repr__(self) -> str:
-        return f"FreeElement({self})"
+    @staticmethod
+    def _term_text(w, c) -> str:
+        return f"{c}*{word_str(w)}"
 
 
 class RewriteRule:
@@ -288,28 +236,26 @@ def word_normal_form(w: Word, rules: RuleSet) -> FreeElement:
         if pending:
             stack.extend(pending)
             continue
-        total = FreeElement()
-        for u, c in spliced.terms.items():
-            total = total + memo[u].scale(c)
-        memo[cur] = total
+        memo[cur] = FreeElement.collect(
+            (v, c * d) for u, c in spliced.terms.items() for v, d in memo[u].terms.items()
+        )
         stack.pop()
     return memo[w]
 
 
 def normalize_free(fe: FreeElement, rules: RuleSet) -> FreeElement:
     """Normal form of a linear combination of words."""
-    total = FreeElement()
-    for w, c in fe.terms.items():
-        total = total + word_normal_form(w, rules).scale(c)
-    return total
+    return FreeElement.collect(
+        (u, c * d) for w, c in fe.terms.items() for u, d in word_normal_form(w, rules).terms.items()
+    )
 
 
 def reachable_normal_forms(start: FreeElement, rules: RuleSet):
     """All irreducible elements reachable from ``start`` by any sequence of
     single reductions (exhaustive breadth-first search)."""
-    seen = {start.key(): start}
+    seen = {start}
     frontier = [start]
-    outcomes = {}
+    outcomes = set()
     while frontier:
         nxt = []
         for fe in frontier:
@@ -319,15 +265,14 @@ def reachable_normal_forms(start: FreeElement, rules: RuleSet):
                     delta = _splice(w, i, length, repl).scale(c) - FreeElement.of_word(w, c)
                     moves.append(fe + delta)
             if not moves:
-                outcomes[fe.key()] = fe
+                outcomes.add(fe)
                 continue
             for child in moves:
-                k = child.key()
-                if k not in seen:
-                    seen[k] = child
+                if child not in seen:
+                    seen.add(child)
                     nxt.append(child)
         frontier = nxt
-    return sorted(outcomes.values(), key=FreeElement.sort_key)
+    return sorted(outcomes, key=FreeElement.sort_key)
 
 
 @dataclass(frozen=True)

@@ -71,8 +71,6 @@ class NumericQ:
     def coerce(cls, value) -> "NumericQ":
         if isinstance(value, NumericQ):
             return value
-        if isinstance(value, str):
-            return cls(Fraction(value))
         return cls(Fraction(value))
 
     def __float__(self) -> float:

@@ -147,3 +147,16 @@ def test_is_lie_text(capsys):
     assert capsys.readouterr().out.strip() == "false"
     assert main(["is-lie", "C^3*A^2"]) == 0
     assert capsys.readouterr().out.strip() == "true"
+
+
+def test_completed_normalize_reduces_while_it_evaluates(monkeypatch, capsys):
+    from qheis import expr
+    from qheis.algebra import A, B, element_power
+
+    def expand(node):
+        raise AssertionError("the completed rules must not expand the free word sum")
+
+    monkeypatch.setattr(expr, "eval_ast_free", expand)
+    assert main(["normalize", "(A+B)^10", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"]["element"] == expr.element_json(element_power(A + B, 10))
