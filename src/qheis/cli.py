@@ -86,7 +86,8 @@ def _parse_complex(text: str) -> complex:
 def _cmd_normalize(args):
     # the completed rules give every word one normal form, so the expression
     # is reduced as it is evaluated; the printed rules reduce its expanded
-    # free word sum, so irreducible non-basis words are reported, not coerced
+    # free word sum (capped by expr.MAX_FREE_PAIRS), so irreducible
+    # non-basis words are reported, not coerced
     rules = rewrite.RuleSet.by_name(args.rules)
     if rules is algebra.COMPLETED:
         x = expr.evaluate(args.expr)

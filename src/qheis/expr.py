@@ -30,6 +30,11 @@ from .algebra import A, B, BasisWord, C, Element, I, ad_power, bracket, element_
 from .ratfun import QPolynomial, RatFun
 from .rewrite import FreeElement
 
+#: Most word pairs one free product may form.  Under the printed rules the
+#: free word sum is reduced word by word, so this bounds that work:
+#: (A+B)^12, 4096 words, is the largest power of A+B it admits.
+MAX_FREE_PAIRS = 4096
+
 
 class ParseError(ValueError):
     """Syntax error with a 1-based column, the offending token, and the
@@ -325,7 +330,9 @@ def evaluate(text: str) -> Element:
 def eval_ast_free(node) -> FreeElement:
     """Evaluate a syntax tree in the free algebra on the letters A, B, C:
     products are word concatenations and nothing is reduced.  This is the
-    input shape for reduction under a caller-chosen rule set."""
+    input shape for reduction under a caller-chosen rule set.  Raises
+    ``ValueError`` before forming a product of more than ``MAX_FREE_PAIRS``
+    word pairs."""
     if isinstance(node, Scalar):
         return FreeElement({(): node.value})
     if isinstance(node, Atom):
@@ -361,6 +368,12 @@ def eval_ast_free(node) -> FreeElement:
 
 
 def _free_product(x: FreeElement, y: FreeElement) -> FreeElement:
+    pairs = len(x.terms) * len(y.terms)
+    if pairs > MAX_FREE_PAIRS:
+        raise ValueError(
+            f"free expansion too large: one product would form {pairs} word pairs, "
+            f"over the limit of {MAX_FREE_PAIRS}; the completed rules reduce as they go"
+        )
     return FreeElement.collect(
         (wx + wy, cx * cy) for wx, cx in x.terms.items() for wy, cy in y.terms.items()
     )

@@ -6,23 +6,36 @@ equality is semantic equality:
 
 * ``QPolynomial`` stores a dense coefficient tuple in ascending degree with
   ordinary rationals (`fractions.Fraction`) as entries and no trailing zero.
-* ``RatFun`` stores a reduced fraction num/den of two polynomials with
-  gcd(num, den) = 1 and a *monic* denominator.
+* ``RatFun`` stores a value as c * N / D: ``c`` is one `Fraction`, and ``N``
+  and ``D`` are primitive integer coefficient tuples (ascending degree,
+  content 1, positive leading coefficient) with gcd(N, D) = 1.  That triple
+  is unique for each rational function.  Its public face is the reduced
+  fraction ``num``/``den`` of two ``QPolynomial`` values with a *monic*
+  denominator, built from the triple on first use and cached.
 * ``LinComb`` is a finite linear combination with ``RatFun`` coefficients
   over hashable keys, stored as a term map with no zero coefficient.  The
   engine's algebra elements, free word sums, Laurent images and ket images
   are its subclasses, and ``LinComb.collect`` is the one place where terms
   are summed.
 
+``RatFun`` arithmetic is fraction-free: it works on the integer tuples and
+computes a gcd only where a common factor can appear.  A product
+cross-cancels gcd(N1, D2) and gcd(N2, D1), and by Gauss's lemma nothing else
+can cancel; a sum over one denominator D takes one gcd of the new numerator
+with D; other sums follow Henrici, splitting off g = gcd(D1, D2) so that
+only g can share a factor with the new numerator; powers need no gcd.  The
+gcd itself splits off the common power of q and then runs a primitive
+polynomial remainder sequence over the integers (Collins 1967; Brown &
+Traub 1971).  ``QPolynomial.gcd`` uses the same routine.
+
 Coefficients are real rational functions throughout; complex conjugation
-acts as the identity on them.  Degrees stay small in this package (tens,
-not thousands), so the polynomial gcd is a plain Euclidean algorithm over
-the rationals.
+acts as the identity on them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class PoleError(ArithmeticError):
@@ -36,6 +49,136 @@ def _as_fraction(c) -> Fraction:
     if isinstance(c, int):
         return Fraction(c)
     raise TypeError(f"expected an exact rational coefficient, got {type(c).__name__}")
+
+
+# -- integer polynomials: ascending int tuples with no trailing zero ----------
+
+_ONE = (1,)
+
+
+def _primitive(p: tuple):
+    """(content, primitive part) of a nonzero integer polynomial; the content
+    carries the sign that makes the leading coefficient positive."""
+    g = gcd(*p)
+    if p[-1] < 0:
+        g = -g
+    if g == 1:
+        return 1, p
+    return g, tuple(x // g for x in p)
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    if a == _ONE:
+        return b
+    if b == _ONE:
+        return a
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return tuple(out)
+
+
+def _pow(p: tuple, e: int) -> tuple:
+    if p == _ONE:
+        return p
+    out = _ONE
+    while e:
+        if e & 1:
+            out = _mul(out, p)
+        e >>= 1
+        if e:
+            p = _mul(p, p)
+    return out
+
+
+def _combine(x: int, a: tuple, y: int, b: tuple) -> tuple:
+    """x*a + y*b, with trailing zeros removed."""
+    if len(a) < len(b):
+        x, a, y, b = y, b, x, a
+    out = [x * c for c in a]
+    for i, c in enumerate(b):
+        out[i] += y * c
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _divexact(a: tuple, b: tuple) -> tuple:
+    """a / b where the primitive polynomial b divides a; by Gauss's lemma the
+    quotient has integer coefficients, so every step divides exactly."""
+    if b == _ONE:
+        return a
+    rem = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    quot = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = rem[i]
+        if c:
+            f = c // lead
+            quot[i - db] = f
+            for j in range(db):
+                rem[i - db + j] -= f * b[j]
+    return tuple(quot)
+
+
+def _prem(a: tuple, b: tuple) -> tuple:
+    """Remainder of a nonzero integer multiple of a on division by b, with
+    len(a) >= len(b) >= 2; the leading term is scaled only where the
+    division does not go exactly."""
+    r = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    while len(r) > db:
+        c = r[-1]
+        s = len(r) - 1 - db
+        if c % lead:
+            g = gcd(c, lead)
+            m = lead // g
+            r = [m * x for x in r]
+            c //= g
+        else:
+            c //= lead
+        for j in range(db):
+            r[s + j] -= c * b[j]
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return tuple(r)
+
+
+def _gcd(a: tuple, b: tuple) -> tuple:
+    """Primitive gcd, with positive leading coefficient, of two nonzero
+    primitive polynomials with positive leading coefficients."""
+    if a == _ONE or b == _ONE:
+        return _ONE
+    va = vb = 0
+    while not a[va]:
+        va += 1
+    while not b[vb]:
+        vb += 1
+    a, b = a[va:], b[vb:]
+    if len(a) < len(b):
+        a, b = b, a
+    # a primitive remainder sequence; a primitive constant is (1,)
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            break
+        a, b = b, _primitive(r)[1]
+    shift = min(va, vb)
+    return (0,) * shift + b if shift else b
+
+
+def _homogeneous(p: tuple, u: int, v: int) -> int:
+    """v^deg(p) * p(u/v), as an integer."""
+    acc, vp = 0, 1
+    for x in reversed(p):
+        acc = acc * u + x * vp
+        vp *= v
+    return acc
 
 
 class QPolynomial:
@@ -156,22 +299,26 @@ class QPolynomial:
                 rem[i - dd + j] -= f * div[j]
         return QPolynomial(quot), QPolynomial(rem)
 
-    def __floordiv__(self, other: "QPolynomial") -> "QPolynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "QPolynomial") -> "QPolynomial":
-        return divmod(self, other)[1]
-
     def monic(self) -> "QPolynomial":
         if self.is_zero() or self.leading == 1:
             return self
         return self.scale(1 / self.leading)
 
+    def _integral(self):
+        """(c, P) with self = c * P for a primitive integer polynomial P with
+        positive leading coefficient; self is nonzero."""
+        cs = self.coeffs
+        den = lcm(*(x.denominator for x in cs))
+        content, prim = _primitive(tuple(x.numerator * (den // x.denominator) for x in cs))
+        return Fraction(content, den), prim
+
     def gcd(self, other: "QPolynomial") -> "QPolynomial":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, (a % b).monic()
-        return a.monic()
+        """Monic gcd; the gcd with the zero polynomial is the other
+        argument made monic."""
+        if self.is_zero() or other.is_zero():
+            return (other if self.is_zero() else self).monic()
+        g = _gcd(self._integral()[1], other._integral()[1])
+        return QPolynomial(tuple(Fraction(x, g[-1]) for x in g))
 
     def __call__(self, q0: Fraction) -> Fraction:
         q0 = _as_fraction(q0)
@@ -222,37 +369,87 @@ _POLY_ONE = QPolynomial((1,))
 _POLY_Q = QPolynomial((0, 1))
 
 
+def _poly(p) -> QPolynomial:
+    if isinstance(p, QPolynomial):
+        return p
+    return QPolynomial(p) if isinstance(p, (list, tuple)) else QPolynomial.constant(p)
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _ratfun(c: Fraction, n: tuple, d: tuple) -> "RatFun":
+    """Wrap a canonical triple (see the module docstring)."""
+    out = _new(RatFun)
+    _set(out, "_c", c)
+    _set(out, "_n", n)
+    _set(out, "_d", d)
+    return out
+
+
+def _product(c: Fraction, n1: tuple, d1: tuple, n2: tuple, d2: tuple) -> "RatFun":
+    """c * (n1/d1) * (n2/d2) for two reduced fractions."""
+    if not c:
+        return RF_ZERO
+    if n1 != _ONE and d2 != _ONE:
+        g = _gcd(n1, d2)
+        if g != _ONE:
+            n1, d2 = _divexact(n1, g), _divexact(d2, g)
+    if n2 != _ONE and d1 != _ONE:
+        g = _gcd(n2, d1)
+        if g != _ONE:
+            n2, d1 = _divexact(n2, g), _divexact(d1, g)
+    return _ratfun(c, _mul(n1, n2), _mul(d1, d2))
+
+
 class RatFun:
     """Rational function num/den in q, reduced with a monic denominator.
 
     The canonical representative is unique, so ``==`` over ``RatFun`` is
-    equality in the field of rational functions.
+    equality in the field of rational functions.  Internally the value is
+    the triple c * N / D of the module docstring; ``num`` and ``den`` are
+    derived from it.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_c", "_n", "_d", "_num", "_den")
 
-    def __init__(self, num, den=_POLY_ONE):
-        if not isinstance(num, QPolynomial):
-            num = QPolynomial.constant(num) if not isinstance(num, (list, tuple)) else QPolynomial(num)
-        if not isinstance(den, QPolynomial):
-            den = QPolynomial.constant(den) if not isinstance(den, (list, tuple)) else QPolynomial(den)
+    def __new__(cls, num, den=_POLY_ONE):
+        num, den = _poly(num), _poly(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            num, den = _POLY_ZERO, _POLY_ONE
-        else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            lead = den.leading
-            if lead != 1:
-                num = num.scale(1 / lead)
-                den = den.scale(1 / lead)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+            return RF_ZERO
+        cn, n = num._integral()
+        cd, d = den._integral()
+        return _product(cn / cd, n, _ONE, _ONE, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFun is immutable")
+
+    def _fill(self):
+        lead = self._d[-1]
+        scale = self._c / lead
+        _set(self, "_num", QPolynomial(tuple(scale * x for x in self._n)))
+        _set(self, "_den", QPolynomial(tuple(Fraction(x, lead) for x in self._d)))
+
+    @property
+    def num(self) -> QPolynomial:
+        """Reduced numerator over the monic ``den``."""
+        try:
+            return self._num
+        except AttributeError:
+            self._fill()
+            return self._num
+
+    @property
+    def den(self) -> QPolynomial:
+        """Monic denominator, coprime to ``num``."""
+        try:
+            return self._den
+        except AttributeError:
+            self._fill()
+            return self._den
 
     @classmethod
     def zero(cls) -> "RatFun":
@@ -264,20 +461,21 @@ class RatFun:
 
     @classmethod
     def from_fraction(cls, c) -> "RatFun":
-        return cls(QPolynomial.constant(c))
+        c = _as_fraction(c)
+        return _ratfun(c, _ONE, _ONE) if c else RF_ZERO
 
     @classmethod
     def q_power(cls, e: int) -> "RatFun":
         """q^e for any integer e (negative exponents allowed)."""
         if e >= 0:
-            return cls(QPolynomial.monomial(1, e))
-        return cls(_POLY_ONE, QPolynomial.monomial(1, -e))
+            return _ratfun(Fraction(1), (0,) * e + _ONE, _ONE)
+        return _ratfun(Fraction(1), _ONE, (0,) * -e + _ONE)
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self._c
 
     def is_one(self) -> bool:
-        return self.num == _POLY_ONE and self.den == _POLY_ONE
+        return self._c == 1 and self._n == _ONE and self._d == _ONE
 
     @staticmethod
     def _coerce(other):
@@ -291,12 +489,38 @@ class RatFun:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
+        c1, c2 = self._c, other._c
+        if not c1:
+            return other
+        if not c2:
+            return self
+        # c1 + c2 over their least common denominator: (x1 + x2) / den
+        r1, r2 = c1.denominator, c2.denominator
+        k = gcd(r1, r2)
+        x1, x2, den = c1.numerator * (r2 // k), c2.numerator * (r1 // k), r1 // k * r2
+        n1, d1, n2, d2 = self._n, self._d, other._n, other._d
+        if d1 == d2:
+            s = _combine(x1, n1, x2, n2)
+            if not s:
+                return RF_ZERO
+            h = d = d1
+        else:
+            # Henrici: over h * e1 * e2 only h can share a factor with s
+            h = _gcd(d1, d2)
+            e1, e2 = _divexact(d1, h), _divexact(d2, h)
+            s = _combine(x1, _mul(n1, e2), x2, _mul(n2, e1))
+            d = _mul(e1, d2)
+        content, s = _primitive(s)
+        if h != _ONE:
+            g = _gcd(s, h)
+            if g != _ONE:
+                s, d = _divexact(s, g), _divexact(d, g)
+        return _ratfun(Fraction(content, den), s, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFun":
-        return RatFun(-self.num, self.den)
+        return _ratfun(-self._c, self._n, self._d) if self._c else self
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -314,7 +538,7 @@ class RatFun:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RatFun(self.num * other.num, self.den * other.den)
+        return _product(self._c * other._c, self._n, self._d, other._n, other._d)
 
     __rmul__ = __mul__
 
@@ -324,7 +548,7 @@ class RatFun:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
+        return _product(self._c / other._c, self._n, self._d, other._d, other._n)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -338,31 +562,48 @@ class RatFun:
     def __pow__(self, e: int) -> "RatFun":
         if e < 0:
             return self.inverse() ** (-e)
-        return RatFun(self.num**e, self.den**e)
+        if e == 0:
+            return RF_ONE
+        if not self._c:
+            return self
+        return _ratfun(self._c**e, _pow(self._n, e), _pow(self._d, e))
 
     def evaluate(self, q0) -> Fraction:
         """Exact evaluation at a rational point; raises ``PoleError`` at a
         zero of the (reduced) denominator."""
         q0 = _as_fraction(q0)
-        d = self.den(q0)
-        if d == 0:
+        u, v = q0.numerator, q0.denominator
+        n, d = self._n, self._d
+        dv = _homogeneous(d, u, v)
+        if not dv:
             raise PoleError(f"pole of {self} at q = {q0}")
-        return self.num(q0) / d
+        # N(q0) = nv / v^deg N and D(q0) = dv / v^deg D
+        nv = _homogeneous(n, u, v)
+        shift = len(d) - len(n)
+        if shift >= 0:
+            nv *= v**shift
+        else:
+            dv *= v**-shift
+        return Fraction(self._c.numerator * nv, self._c.denominator * dv)
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+        if isinstance(other, RatFun):
+            return self._c == other._c and self._n == other._n and self._d == other._d
+        if isinstance(other, (int, Fraction)):
+            return self._c == other and len(self._n) <= 1 and self._d == _ONE
+        return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("RatFun", self.num.coeffs, self.den.coeffs))
+        # a constant hashes as the number it equals
+        if len(self._n) <= 1 and self._d == _ONE:
+            return hash(self._c)
+        return hash((self._c, self._n, self._d))
 
     def sort_key(self):
         return (self.num.coeffs, self.den.coeffs)
 
     def __str__(self) -> str:
-        if self.den == _POLY_ONE:
+        if self._d == _ONE:
             return f"({self.num})"
         return f"({self.num})/({self.den})"
 
@@ -370,9 +611,9 @@ class RatFun:
         return f"RatFun({self})"
 
 
-RF_ZERO = RatFun(_POLY_ZERO)
-RF_ONE = RatFun(_POLY_ONE)
-RF_Q = RatFun(_POLY_Q)
+RF_ZERO = _ratfun(Fraction(0), (), _ONE)
+RF_ONE = _ratfun(Fraction(1), _ONE, _ONE)
+RF_Q = RatFun.q_power(1)
 #: 1 - q, the denominator that pervades the deformed relations.
 RF_ONE_MINUS_Q = RatFun(QPolynomial((1, -1)))
 
@@ -389,7 +630,7 @@ def qbracket(n: int) -> RatFun:
     """The q-integer 1 + q + ... + q^(n-1) = (1 - q^n)/(1 - q); 0 for n = 0."""
     if n < 0:
         raise ValueError("qbracket is defined for nonnegative integers")
-    return RatFun(QPolynomial((1,) * n))
+    return _ratfun(Fraction(1), (1,) * n, _ONE) if n else RF_ZERO
 
 
 def qbracket_value(n: int, q0) -> Fraction:

@@ -160,3 +160,28 @@ def test_completed_normalize_reduces_while_it_evaluates(monkeypatch, capsys):
     assert main(["normalize", "(A+B)^10", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["result"]["element"] == expr.element_json(element_power(A + B, 10))
+
+
+def test_printed_normalize_refuses_an_oversized_free_expansion(capsys):
+    import time
+
+    from qheis.expr import MAX_FREE_PAIRS
+
+    # (A+B)^14 would multiply 4096 words by 2 on its way to 16384 words
+    assert MAX_FREE_PAIRS < 2**13
+    start = time.perf_counter()
+    code = main(["normalize", "(A+B)^14", "--rules", "printed"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr()
+    assert code == 1
+    assert err.out == ""
+    assert "free expansion too large" in err.err
+    assert elapsed < 2.0
+
+
+def test_printed_normalize_under_the_cap_reports_stuck_words(capsys):
+    code = main(["normalize", "(A+B)^6", "--rules", "printed"])
+    err = capsys.readouterr()
+    assert code == 1
+    assert err.out == ""
+    assert "irreducible non-basis words: BBBCA, BBCAA, BCA, BCAAA, BCCA" in err.err

@@ -119,3 +119,57 @@ def test_immutability():
         ONE.num = QPolynomial.zero()
     with pytest.raises(AttributeError):
         QPolynomial.one().coeffs = ()
+
+
+def _random_qpoly_pair(rng):
+    """A numerator and denominator over the rationals: small integer
+    polynomials times q^a and (1 - q^m)^e, split by the signs of a and e."""
+    def small():
+        cs = [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]
+        cs[-1] = cs[-1] or 1
+        return QPolynomial(cs)
+
+    a, m, e = rng.randint(-3, 3), rng.randint(1, 4), rng.randint(-2, 2)
+    cyclic = QPolynomial((1,) + (0,) * (m - 1) + (-1,))
+    num = small() * QPolynomial.monomial(1, max(a, 0)) * cyclic ** max(e, 0)
+    den = small() * QPolynomial.monomial(1, max(-a, 0)) * cyclic ** max(-e, 0)
+    return num.scale(Fraction(rng.randint(1, 9), rng.randint(1, 9))), den
+
+
+def test_arithmetic_matches_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+    qs = sympy.Symbol("q")
+
+    def to_sympy(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * qs**i for i, c in enumerate(p.coeffs))
+
+    def canonical(expr):
+        num, den = sympy.fraction(sympy.cancel(expr))
+        num, den = (
+            [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(p, qs).all_coeffs())] for p in (num, den)
+        )
+        lead = den[-1]
+        return tuple(c / lead for c in num) if any(num) else (), tuple(c / lead for c in den)
+
+    def ours(x):
+        return x.num.coeffs, x.den.coeffs
+
+    rng = random.Random(20261018)
+    pairs = [_random_qpoly_pair(rng) for _ in range(16)]
+    values = [(RatFun(n, d), sympy.cancel(to_sympy(n) / to_sympy(d))) for n, d in pairs]
+    for (x, sx), (y, sy) in zip(values, values[1:] + values[:1]):
+        assert ours(x) == canonical(sx)
+        assert ours(x + y) == canonical(sx + sy)
+        assert ours(x - y) == canonical(sx - sy)
+        assert ours(x * y) == canonical(sx * sy)
+        assert ours(x / y) == canonical(sx / sy)
+        for e in (-2, 0, 3):
+            assert ours(x**e) == canonical(sx**e)
+        assert ours(x - x) == canonical(sx - sx)
+    # sums whose numerator shares a factor with the common part of the denominators
+    x, y = RatFun(QPolynomial((1, 2))) / RF_ONE_MINUS_Q, RatFun(QPolynomial((-2, -1))) / RF_ONE_MINUS_Q
+    assert ours(x + y) == canonical((1 + 2 * qs) / (1 - qs) + (-2 - qs) / (1 - qs)) == ((-1,), (1,))
+    x = ONE / (RF_ONE_MINUS_Q * RatFun(QPolynomial((1, 1))))
+    y = ONE / (RF_ONE_MINUS_Q * RatFun(QPolynomial((-3, 1))))
+    assert ours(x + y) == canonical(1 / ((1 - qs) * (1 + qs)) + 1 / ((1 - qs) * (qs - 3)))
+    assert (x + y).den.degree == 2
