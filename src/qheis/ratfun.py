@@ -199,6 +199,9 @@ class QPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("QPolynomial is immutable")
 
+    def __reduce__(self):
+        return QPolynomial, (self.coeffs,)
+
     @classmethod
     def zero(cls) -> "QPolynomial":
         return _POLY_ZERO
@@ -426,6 +429,9 @@ class RatFun:
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFun is immutable")
+
+    def __reduce__(self):
+        return _ratfun, (self._c, self._n, self._d)
 
     def _fill(self):
         lead = self._d[-1]
@@ -697,6 +703,9 @@ class LinComb:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return self._of, (self.terms,)
 
     def is_zero(self) -> bool:
         return not self.terms

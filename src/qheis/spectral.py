@@ -45,14 +45,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .algebra import Element
 from .ratfun import RF_ONE, RF_ONE_MINUS_Q, RatFun
 
+if TYPE_CHECKING:
+    import numpy as np
+
 #: magnitudes below this are purged from sparse vectors
 PURGE_EPS = 1e-300
+#: largest dimension ``matrix`` (and so ``op_norm``) builds: the dense array
+#: takes 8 N^2 bytes and the SVD O(N^3) time
+MAX_DIM = 2000
 
 
 @dataclass(frozen=True)
@@ -166,13 +171,19 @@ class TruncatedMatrix:
     source: str
 
     def max_abs(self) -> float:
+        import numpy as np
+
         return float(np.max(np.abs(self.data))) if self.dim else 0.0
 
 
 def matrix(x: Element, q0, N: int) -> TruncatedMatrix:
     if N < 1:
         raise ValueError("matrix dimension must be positive")
+    if N > MAX_DIM:
+        raise ValueError(f"matrix dimension {N} exceeds MAX_DIM = {MAX_DIM}")
     q0 = NumericQ.coerce(q0)
+    import numpy as np
+
     data = np.zeros((N, N))
     for j, col in enumerate(_columns(x, q0.value, 0, N)):
         for idx, v in col.items():
@@ -195,6 +206,8 @@ class NonConvergenceError(RuntimeError):
 
 
 def _power_iteration_norm(data: np.ndarray, tol: float, max_iter: int) -> float:
+    import numpy as np
+
     gram = data.T @ data
     n = gram.shape[0]
     v = np.ones(n) / math.sqrt(n)
@@ -239,18 +252,24 @@ def op_norm(
     if method == "svd":
         if not m.data.any():
             return 0.0
+        import numpy as np
+
         return float(np.linalg.svd(m.data, compute_uv=False)[0])
     if method == "power":
         return _power_iteration_norm(m.data, tol, max_iter)
     raise ValueError(f"unknown method {method!r} (expected 'svd' or 'power')")
 
 
-def _window_means(q0, kmax: int, N: int, pick) -> list:
-    """For each window length k <= kmax, ``pick`` (max or min) over n < N-k
-    of the geometric mean of the k consecutive weights from n on."""
+def _window_means(q0, kmax: int, N: int, pick: str) -> list:
+    """For each window length k <= kmax, the numpy reduction named by
+    ``pick`` ("max" or "min") over n < N-k of the geometric mean of the k
+    consecutive weights from n on."""
     if kmax < 1 or N <= kmax:
         raise ValueError("need kmax >= 1 and N > kmax")
     q0 = NumericQ.coerce(q0)
+    import numpy as np
+
+    pick = getattr(np, pick)
     logs = np.array([0.5 * math.log(float(sq)) for sq in islice(_qintegers(q0.value, 1), N)])
     csum = np.concatenate([[0.0], np.cumsum(logs)])
     return [float(math.exp(pick(csum[k:N] - csum[0 : N - k]) / k)) for k in range(1, kmax + 1)]
@@ -260,13 +279,13 @@ def spectral_radius_est(q0, kmax: int, N: int):
     """For each window length k <= kmax, the sup over n < N-k of the
     geometric mean of k consecutive weights; the final entry estimates the
     spectral radius of the shift."""
-    return _window_means(q0, kmax, N, np.max)
+    return _window_means(q0, kmax, N, "max")
 
 
 def lower_index_est(q0, kmax: int, N: int):
     """Windowed geometric-mean infima; monotonically increasing in k with
     O(1/k) convergence toward (1-q)^(-1/2) (the infimum sits at n = 0)."""
-    return _window_means(q0, kmax, N, np.min)
+    return _window_means(q0, kmax, N, "min")
 
 
 @dataclass(frozen=True)

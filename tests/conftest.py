@@ -5,11 +5,21 @@ to 3 and coefficients that are small integers, small integers over 1 - q,
 or small multiples of q.  Everything is seeded, so failures reproduce.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 from qheis.algebra import BasisWord, Element
 from qheis.ratfun import RF_ONE_MINUS_Q, RatFun
+
+
+#: the round trips an immutable value must survive, value -> new value
+COPIERS = {
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
 
 
 def random_ratfun(rng: random.Random) -> RatFun:

@@ -2,12 +2,18 @@
 conformance for every command."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 
 import jsonschema
 import pytest
 
+import qheis
 from qheis.cli import main
 from qheis.schemas import OUTPUT_SCHEMA
+from qheis.spectral import MAX_DIM
 
 # one representative invocation per command
 COMMANDS = [
@@ -163,8 +169,6 @@ def test_completed_normalize_reduces_while_it_evaluates(monkeypatch, capsys):
 
 
 def test_printed_normalize_refuses_an_oversized_free_expansion(capsys):
-    import time
-
     from qheis.expr import MAX_FREE_PAIRS
 
     # (A+B)^14 would multiply 4096 words by 2 on its way to 16384 words
@@ -185,3 +189,56 @@ def test_printed_normalize_under_the_cap_reports_stuck_words(capsys):
     assert code == 1
     assert err.out == ""
     assert "irreducible non-basis words: BBBCA, BBCAA, BCA, BCAAA, BCCA" in err.err
+
+
+def test_norm_refuses_a_dimension_over_max_dim(capsys):
+    start = time.perf_counter()
+    code = main(["norm", "B", "--q", "1/2", "--dim", str(MAX_DIM + 1)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr()
+    assert code == 1
+    assert err.out == ""
+    assert "MAX_DIM" in err.err
+    assert elapsed < 2.0
+
+
+#: the only commands that build a matrix or call LAPACK, so load numpy
+NUMPY_COMMANDS = {"norm", "radius", "lower-index"}
+NUMPY_FREE = [argv + mode for argv in COMMANDS if argv[0] not in NUMPY_COMMANDS for mode in ([], ["--json"])]
+# refused by the MAX_DIM check before numpy is imported
+NUMPY_FREE.append(["norm", "B", "--q", "1/2", "--dim", str(MAX_DIM + 1)])
+
+#: runs each command line of argv[1] (JSON) under qheis.cli.main with numpy
+#: made unimportable, and prints the [exit code, stdout] of each as JSON
+CHILD_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from qheis.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def run_child(*args) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qheis.__file__)))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    child = run_child("-c", "import sys, qheis, qheis.cli; print('numpy' in sys.modules)")
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "False"
+
+
+def test_numpy_free_commands_run_without_numpy(capsys):
+    child = run_child("-c", CHILD_WITHOUT_NUMPY, json.dumps(NUMPY_FREE))
+    assert child.returncode == 0, child.stderr
+    results = json.loads(child.stdout)
+    for argv, (code, out) in zip(NUMPY_FREE, results, strict=True):
+        expected_code = main(argv)
+        assert [code, out] == [expected_code, capsys.readouterr().out], argv

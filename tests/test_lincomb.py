@@ -1,11 +1,13 @@
 """The combination contract shared by every linear-combination type:
-zero purging, the group laws, hashing, immutability and `collect`."""
+zero purging, the group laws, hashing, immutability, `collect`, and
+pickling and copying."""
 
 import pytest
+from conftest import COPIERS
 
 from qheis.algebra import BasisWord, Element
 from qheis.lie import KetImage, LaurentPoly
-from qheis.ratfun import RF_Q, RatFun
+from qheis.ratfun import RF_Q, QPolynomial, RatFun
 from qheis.rewrite import FreeElement
 
 ONE = RatFun.one()
@@ -90,6 +92,18 @@ def test_collect_keeps_the_order_of_repeated_addition(kind):
     collected = cls.collect(item for part in parts for item in part.terms.items())
     assert collected == total
     assert list(collected.terms.items()) == list(total.terms.items())
+
+
+@pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS.keys())
+def test_combinations_survive_pickle_and_copy(kind, copier):
+    cls, (k1, k2, k3) = kind
+    # coefficients with a q-power and a (1-q)^k denominator
+    x = cls({k1: RatFun.q_power(-2) * 3, k2: RatFun(QPolynomial((1, 2)), QPolynomial((1, -1)) ** 3), k3: RF_Q})
+    back = copier(x)
+    assert type(back) is cls
+    assert back == x
+    assert hash(back) == hash(x)
+    assert list(back.terms) == list(x.terms)
 
 
 def test_combination_types_never_compare_equal():

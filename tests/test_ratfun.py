@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import COPIERS
 
 from qheis.ratfun import (
     PoleError,
@@ -119,6 +120,25 @@ def test_immutability():
         ONE.num = QPolynomial.zero()
     with pytest.raises(AttributeError):
         QPolynomial.one().coeffs = ()
+
+
+# a q-power denominator, a (1-q)^k denominator with a non-monic numerator,
+# and a polynomial
+PICKLE_VALUES = [
+    RatFun.q_power(-3) * Fraction(5, 2),
+    RatFun(QPolynomial((2, 0, -3)), QPolynomial((1, -1)) ** 4),
+    QPolynomial((Fraction(1, 3), 0, -2)),
+]
+
+
+@pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS.keys())
+@pytest.mark.parametrize("value", PICKLE_VALUES, ids=str)
+def test_values_survive_pickle_and_copy(value, copier):
+    back = copier(value)
+    assert type(back) is type(value)
+    assert back == value
+    assert hash(back) == hash(value)
+    assert str(back) == str(value)
 
 
 def _random_qpoly_pair(rng):
