@@ -2,7 +2,8 @@
 and drive the numeric lab, with text or schema-conforming JSON output.
 
 Exit codes: 0 on success; 1 on domain errors (poles, bad q, stuck words,
-non-convergence); 2 on syntax errors, reported with a 1-based column.
+non-convergence, sizes over a documented limit, float overflow); 2 on
+syntax errors, reported with a 1-based column.
 Results go to stdout, diagnostics to stderr.
 """
 
@@ -433,6 +434,7 @@ def main(argv=None) -> int:
         algebra.StuckWordError,
         spectral.NonConvergenceError,
         ValueError,
+        OverflowError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

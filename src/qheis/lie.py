@@ -17,12 +17,11 @@ which is what makes the residual checks below exact rather than numeric.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 
 from .algebra import A, B, BasisWord, C, Element, I, bracket, multiply
-from .ratfun import RF_ONE, RF_ONE_MINUS_Q, LinComb, RatFun, as_ratfun, qbracket, qbracket_value
+from .ratfun import RF_ONE, RF_ONE_MINUS_Q, LinComb, RatFun, as_ratfun, qbracket, qbracket_value, signed_root
 
 
 # -- Lie / non-Lie decomposition ---------------------------------------------
@@ -312,8 +311,8 @@ class KetImage(LinComb):
             rval = 1
             for m in rad:
                 rval *= qbracket_value(m, q0)
-            mag = math.sqrt(float(cval * cval * rval))
-            out[target] = out.get(target, 0.0) + (mag if cval > 0 else -mag)
+            value = signed_root(cval.numerator, cval.denominator, rval.numerator, rval.denominator)
+            out[target] = out.get(target, 0.0) + value
         return {target: v for target, v in out.items() if v != 0.0}
 
     def __str__(self) -> str:

@@ -35,7 +35,7 @@ acts as the identity on them.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import frexp, gcd, lcm, ldexp, sqrt
 
 
 class PoleError(ArithmeticError):
@@ -647,6 +647,30 @@ def qbracket_value(n: int, q0) -> Fraction:
     if q0 == 1:
         return Fraction(n)
     return (1 - q0**n) / (1 - q0)
+
+
+def signed_root(cn: int, cd: int, rn: int, rd: int) -> float:
+    """The float c * sqrt(r) for c = cn/cd != 0 and r = rn/rd > 0, from
+    integers with cd, rn, rd positive and neither fraction reduced.
+
+    It is the square root of c^2 r rounded once, with the sign of c: int
+    true division rounds correctly for operands of any size, so the
+    unreduced quotient gives the double that ``float`` of the reduced
+    ``Fraction`` gives.  Where c^2 r is past the float range, the quotient is
+    taken over 4^s times the denominator and the root scaled back by 2^s,
+    both exact; ``OverflowError`` then means |c| sqrt(r) is no finite float.
+    """
+    num, den = cn * cn * rn, cd * cd * rd
+    try:
+        mag = sqrt(num / den)
+    except OverflowError:
+        s = (num.bit_length() - den.bit_length()) // 2 - 500
+        root = sqrt(num / (den << 2 * s))
+        exp = frexp(root)[1] + s
+        if exp > 1024:
+            raise OverflowError(f"value >= 2^{exp - 1} is past the float range") from None
+        mag = ldexp(root, s)
+    return mag if cn > 0 else -mag
 
 
 class LinComb:

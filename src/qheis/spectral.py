@@ -10,20 +10,26 @@ before they are materialized.
 
 Floating-point policy: every monomial B^b C^k A^a is one band, sending v_n
 to q^(k(n-a)) sqrt({n-a+1}_q ... {n-a+max(a,b)}_q) v_(n-a+b), so columns are
-filled directly rather than through the symbolic ket action.  Each monomial
-coefficient is evaluated at q0 once per call, the q-powers q0^(k(n-a)) are
-exact running products, and the q-integer radicands come from an exact table
-over the window the requested columns touch.  Terms with equal (b, a) share
-target and radicand and merge exactly, as in ``lie.apply_symbolic``; each
-merged scalar c * sqrt(r) is then rounded once, as sqrt(float(c^2 r)) with the
-sign of c.  The values are therefore the same exact rationals that
-``apply_symbolic(x, n).numeric(q0)`` rounds, wherever every term coefficient
-is defined at q0, and the columns agree with it bit for bit (the tests hold
-them to it as the exact oracle).  A term whose coefficient has a pole at q0
-raises ``PoleError``, also where ``apply_symbolic`` would merge it with
-another term into a coefficient without that pole.  Weights are
-rounded once from the same exact q-integers, so the 1e-12 comparisons in the
-test suite measure the mathematics rather than accumulation error.
+filled directly rather than through the symbolic ket action.  All exact work
+is on plain unreduced Python ints and takes no gcd.  With q0 = u/v, each
+monomial coefficient is evaluated at q0 once per call; the terms of a band
+keep integer numerators over one integer denominator, stepped by powers of
+u and v from column to column; and the q-integer radicands {m}_q come as
+integer pairs N_m / v^(m-1) from a table over the window the requested
+columns touch.  Terms with equal (b, a) share target and radicand and merge
+exactly, as in ``lie.apply_symbolic``; each merged scalar c * sqrt(r) is
+then rounded once, as the square root of one int/int true division for
+c^2 r, with the sign of c (``ratfun.signed_root``).  Int true division rounds
+correctly for any operand size, so the unreduced quotient gives the double
+that ``float`` of the reduced fraction gives: the values are the same exact
+rationals that ``apply_symbolic(x, n).numeric(q0)`` rounds, wherever every
+term coefficient is defined at q0, and the columns agree with it bit for
+bit (the tests hold them to it as the exact oracle).  A term whose
+coefficient has a pole at q0 raises ``PoleError``, also where
+``apply_symbolic`` would merge it with another term into a coefficient
+without that pole.  Weights are rounded once from the same integer
+q-integers, so the 1e-12 comparisons in the test suite measure the
+mathematics rather than accumulation error.
 
 The windowed geometric-mean estimators converge to the spectral radius from
 below; the lower-index estimator attains its infimum at n = 0, where it
@@ -48,16 +54,22 @@ from itertools import islice
 from typing import TYPE_CHECKING
 
 from .algebra import Element
-from .ratfun import RF_ONE, RF_ONE_MINUS_Q, RatFun
+from .ratfun import RF_ONE, RF_ONE_MINUS_Q, RatFun, signed_root
 
 if TYPE_CHECKING:
     import numpy as np
 
 #: magnitudes below this are purged from sparse vectors
 PURGE_EPS = 1e-300
-#: largest dimension ``matrix`` (and so ``op_norm``) builds: the dense array
-#: takes 8 N^2 bytes and the SVD O(N^3) time
+#: largest dimension ``matrix`` (and so ``op_norm``) builds, where the dense
+#: array takes 8 N^2 bytes and the SVD O(N^3) time, and largest N of
+#: ``weights`` and the estimators, whose exact q-integers take O(N^2) bits
 MAX_DIM = 2000
+
+
+def _check_dim(N: int) -> None:
+    if N > MAX_DIM:
+        raise ValueError(f"dimension {N} exceeds MAX_DIM = {MAX_DIM}")
 
 
 @dataclass(frozen=True)
@@ -83,15 +95,16 @@ class NumericQ:
 
 
 def _qintegers(q0: Fraction, lo: int):
-    """Exact q-integers {lo}_q, {lo+1}_q, ... for lo >= 1.  With q0 = u/v,
-    {m}_q = N_m / v^(m-1) where N_m = (v^m - u^m)/(v - u) obeys
-    N_(m+1) = v N_m + u^m, so no entry needs a rational power of its own."""
+    """Exact q-integers {lo}_q, {lo+1}_q, ... for lo >= 1, as unreduced
+    integer pairs (N_m, v^(m-1)) with {m}_q = N_m / v^(m-1) and q0 = u/v.
+    N_m = (v^m - u^m)/(v - u) obeys N_(m+1) = v N_m + u^m, so no entry needs
+    a power or a gcd of its own."""
     u, v = q0.numerator, q0.denominator
     u_power = u**lo
     num = (v**lo - u_power) // (v - u)
     den = v ** (lo - 1)
     while True:
-        yield Fraction(num, den)
+        yield num, den
         num = v * num + u_power
         u_power *= u
         den *= v
@@ -109,8 +122,9 @@ class WeightSequence:
 def weights(q0, N: int) -> WeightSequence:
     if N < 1:
         raise ValueError("need at least one weight")
+    _check_dim(N)
     q0 = NumericQ.coerce(q0)
-    vals = tuple(math.sqrt(float(sq)) for sq in islice(_qintegers(q0.value, 1), N))
+    vals = tuple(math.sqrt(n / d) for n, d in islice(_qintegers(q0.value, 1), N))
     return WeightSequence(q0=q0, values=vals)
 
 
@@ -118,6 +132,7 @@ def _columns(x: Element, q0: Fraction, start: int, stop: int):
     """Yield the numeric image of v_n under x for each n in [start, stop),
     as a map from target index to value with entries below the purge
     threshold dropped; see the module notes for the rounding policy."""
+    u, v = q0.numerator, q0.denominator
     groups = {}
     for bw, c in x.terms.items():
         if bw.a < stop:
@@ -127,27 +142,35 @@ def _columns(x: Element, q0: Fraction, start: int, stop: int):
     # column n reads {n-max_a+1}_q .. {n+max_b}_q, so the exact q-integers
     # are tabulated over the window the requested columns touch
     lo = max(start - max_a, 0) + 1
-    rads = list(islice(_qintegers(q0, lo), stop + max_b - lo + 1))
-    # (b, a, coefficient values, q0^k, running q0^(k m) at the current column)
+    table = list(islice(_qintegers(q0, lo), stop + max_b - lo + 1))
+    rad_nums, rad_dens = [r for r, _ in table], [d for _, d in table]
+    # the terms c_i q0^(k_i m) of a band share the denominator L v^(K m), with
+    # L the lcm of the denominators of the c_i and K the largest k_i, so the
+    # numerator of term i steps by u^k_i v^(K - k_i) and the denominator by v^K
+    # (b, a, running integers: the numerators then the denominator, their steps)
     bands = []
     for (b, a), parts in groups.items():
         m0 = max(start - a, 0)
-        bands.append((b, a, [c for _, c in parts], [q0**k for k, _ in parts], [q0 ** (k * m0) for k, _ in parts]))
+        top = max(k for k, _ in parts)
+        common = math.lcm(*(c.denominator for _, c in parts))
+        firsts = [c.numerator * (common // c.denominator) for _, c in parts] + [common]
+        steps = [u**k * v ** (top - k) for k, _ in parts] + [v**top]
+        bands.append((b, a, [f * s**m0 for f, s in zip(firsts, steps)], steps))
     for n in range(start, stop):
         # b*a = 0, so distinct (b, a) send v_n to distinct targets n - a + b
         # and each target holds exactly one merged scalar
         col = {}
-        for b, a, coeffs, steps, powers in bands:
+        for b, a, running, steps in bands:
             if n < a:
                 continue
             m = n - a
-            cval = sum(c * p for c, p in zip(coeffs, powers))
-            powers[:] = [p * s for p, s in zip(powers, steps)]
-            if cval != 0:
-                rad = math.prod(rads[m + 1 - lo : m + 1 + a + b - lo])
-                mag = math.sqrt(float(cval * cval * rad))
-                if mag >= PURGE_EPS:
-                    col[m + b] = mag if cval > 0 else -mag
+            cn, cd = sum(running[:-1]), running[-1]
+            running[:] = [p * s for p, s in zip(running, steps)]
+            if cn:
+                i, j = m + 1 - lo, m + 1 + a + b - lo
+                value = signed_root(cn, cd, math.prod(rad_nums[i:j]), math.prod(rad_dens[i:j]))
+                if abs(value) >= PURGE_EPS:
+                    col[m + b] = value
         yield col
 
 
@@ -179,8 +202,7 @@ class TruncatedMatrix:
 def matrix(x: Element, q0, N: int) -> TruncatedMatrix:
     if N < 1:
         raise ValueError("matrix dimension must be positive")
-    if N > MAX_DIM:
-        raise ValueError(f"matrix dimension {N} exceeds MAX_DIM = {MAX_DIM}")
+    _check_dim(N)
     q0 = NumericQ.coerce(q0)
     import numpy as np
 
@@ -266,11 +288,12 @@ def _window_means(q0, kmax: int, N: int, pick: str) -> list:
     consecutive weights from n on."""
     if kmax < 1 or N <= kmax:
         raise ValueError("need kmax >= 1 and N > kmax")
+    _check_dim(N)
     q0 = NumericQ.coerce(q0)
     import numpy as np
 
     pick = getattr(np, pick)
-    logs = np.array([0.5 * math.log(float(sq)) for sq in islice(_qintegers(q0.value, 1), N)])
+    logs = np.array([0.5 * math.log(n / d) for n, d in islice(_qintegers(q0.value, 1), N)])
     csum = np.concatenate([[0.0], np.cumsum(logs)])
     return [float(math.exp(pick(csum[k:N] - csum[0 : N - k]) / k)) for k in range(1, kmax + 1)]
 

@@ -191,22 +191,62 @@ def test_printed_normalize_under_the_cap_reports_stuck_words(capsys):
     assert "irreducible non-basis words: BBBCA, BBCAA, BCA, BCAAA, BCCA" in err.err
 
 
-def test_norm_refuses_a_dimension_over_max_dim(capsys):
+#: one command line per command that takes --dim, over the limit
+OVER_MAX_DIM = [
+    ["norm", "B", "--q", "1/2", "--dim", str(MAX_DIM + 1)],
+    ["radius", "--q", "99/100", "--kmax", "10", "--dim", "100000"],
+    ["lower-index", "--q", "99/100", "--kmax", "10", "--dim", "100000"],
+    ["coherent", "--c", "0.7", "--q", "99/100", "--dim", "100000"],
+]
+
+
+def test_every_dimension_over_max_dim_is_refused(capsys):
+    for argv in OVER_MAX_DIM:
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr()
+        assert code == 1, argv
+        assert err.out == ""
+        assert "MAX_DIM" in err.err
+        assert elapsed < 2.0, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the entry is about 2^1100, past the float range
+        ["norm", "(1/(1-q))^1100*B", "--q", "1/2", "--dim", "10"],
+        # the coherent entries grow like 1e300^n
+        ["coherent", "--c", "1e300", "--q", "1/2", "--dim", "10"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_float_overflow_exits_1(capsys, argv):
     start = time.perf_counter()
-    code = main(["norm", "B", "--q", "1/2", "--dim", str(MAX_DIM + 1)])
+    code = main(argv)
     elapsed = time.perf_counter() - start
     err = capsys.readouterr()
     assert code == 1
     assert err.out == ""
-    assert "MAX_DIM" in err.err
+    assert err.err.startswith("error: ")
+    assert err.err.count("\n") == 1
     assert elapsed < 2.0
+
+
+def test_entries_whose_square_overflows_a_float(capsys):
+    # c = 2^600: c^2 r overflows a float while every entry is about 4e180
+    assert main(["norm", "(1/(1-q))^600*B", "--q", "1/2", "--dim", "10"]) == 0
+    assert 5.86e180 < float(capsys.readouterr().out) < 5.87e180
+    assert main(["apply", "(1/(1-q))^600*B", "--n", "2", "--q", "1/2"]) == 0
+    assert capsys.readouterr().out.startswith("3: 5.489")
 
 
 #: the only commands that build a matrix or call LAPACK, so load numpy
 NUMPY_COMMANDS = {"norm", "radius", "lower-index"}
 NUMPY_FREE = [argv + mode for argv in COMMANDS if argv[0] not in NUMPY_COMMANDS for mode in ([], ["--json"])]
 # refused by the MAX_DIM check before numpy is imported
-NUMPY_FREE.append(["norm", "B", "--q", "1/2", "--dim", str(MAX_DIM + 1)])
+NUMPY_FREE.extend(OVER_MAX_DIM)
 
 #: runs each command line of argv[1] (JSON) under qheis.cli.main with numpy
 #: made unimportable, and prints the [exit code, stdout] of each as JSON

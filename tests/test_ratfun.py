@@ -1,5 +1,6 @@
 """Canonical-form arithmetic over rational functions of q."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from qheis.ratfun import (
     RatFun,
     qbracket,
     qbracket_value,
+    signed_root,
 )
 
 ONE = RatFun.one()
@@ -75,6 +77,25 @@ def test_evaluate():
     assert qbracket_value(3, HALF) == Fraction(7, 4)
     with pytest.raises(PoleError):
         (RF_Q / (RF_Q - ONE)).evaluate(1)
+
+
+def test_signed_root_rounds_like_the_reduced_fraction():
+    rng = random.Random(17)
+    for _ in range(500):
+        g = rng.randrange(1, 10**30)
+        cn, cd = rng.choice([-1, 1]) * rng.randrange(1, 10**40) * g, rng.randrange(1, 10**40) * g
+        rn, rd = rng.randrange(1, 10**60) * g, rng.randrange(1, 10**60) * g
+        mag = math.sqrt(float(Fraction(cn, cd) ** 2 * Fraction(rn, rd)))
+        assert signed_root(cn, cd, rn, rd) == math.copysign(mag, cn)
+
+
+def test_signed_root_past_the_float_range():
+    # c^2 r = 2^1200 * 3 overflows a float, c sqrt(r) = 2^600 sqrt(3) does not
+    assert signed_root(-(2**600), 1, 3, 1) == -math.ldexp(math.sqrt(3.0), 600)
+    assert signed_root(2**600 * 5, 5, 3 * 7, 7) == math.ldexp(math.sqrt(3.0), 600)
+    with pytest.raises(OverflowError, match="past the float range"):
+        signed_root(2**1024, 1, 1, 1)
+    assert signed_root(2**1023, 1, 1, 1) == math.ldexp(1.0, 1023)
 
 
 def test_negative_q_powers():

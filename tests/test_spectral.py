@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import basis_words_up_to, random_element
+from qheis import expr
 from qheis.algebra import A, B, BasisWord, C, Element, I, element_power, multiply, normalize
 from qheis.lie import apply_symbolic
 from qheis.ratfun import RF_ONE, RF_ONE_MINUS_Q, RF_Q, PoleError, RatFun, qbracket_value
@@ -16,6 +17,7 @@ from qheis.spectral import (
     PURGE_EPS,
     NonConvergenceError,
     NumericQ,
+    _qintegers,
     apply_numeric,
     coherent_vector,
     compact_decay_report,
@@ -30,6 +32,8 @@ from qheis.spectral import (
 HALF = NumericQ(Fraction(1, 2))
 SQRT2 = math.sqrt(2)
 ORACLE_QS = (Fraction(1, 2), Fraction(1, 3), Fraction(5, 7))
+#: q close to 1: the integers of a column grow fastest with its index
+NEAR_ONE = Fraction(99, 100)
 
 
 def test_numeric_q_validation():
@@ -102,6 +106,64 @@ def test_band_fill_equals_symbolic_oracle_bitwise(q):
                     column[i] = v
             assert (data[:, n] == column).all(), (str(x), n)
             assert tail[n] == math.sqrt(sum(v * v for v in want.values())), (str(x), n)
+
+
+@pytest.mark.parametrize("q", ORACLE_QS + (NEAR_ONE,), ids=str)
+def test_deep_columns_equal_symbolic_oracle_bitwise(q):
+    # at these indices the running numerators and denominators carry
+    # thousands of bits, and are never reduced before the one rounding
+    for x in _oracle_elements():
+        for n in (500, 2000):
+            assert apply_numeric(x, n, q) == _oracle_column(x, n, q), (str(x), n)
+
+
+def test_matrix_near_one_equals_symbolic_oracle_bitwise():
+    N = 120
+    for x in _oracle_elements()[:12]:
+        data = matrix(x, NEAR_ONE, N).data
+        for n in range(N):
+            column = np.zeros(N)
+            for i, v in _oracle_column(x, n, NEAR_ONE).items():
+                if i < N:
+                    column[i] = v
+            assert (data[:, n] == column).all(), (str(x), n)
+
+
+def test_diagonal_columns_through_subnormal_squares():
+    # c^2 = 2^(-2kn) (times 9 or 1/9) turns subnormal near kn = 511 and
+    # rounds to zero near kn = 538, both far above the purge threshold
+    third = RatFun.from_fraction(Fraction(1, 3))
+    for k in (1, 2, 3):
+        for x in (element_power(C, k), 3 * element_power(C, k) + third * element_power(C, k + 1)):
+            N = 560 // k
+            data = matrix(x, HALF, N).data
+            for n in range(N):
+                want = _oracle_column(x, n, HALF.value)
+                assert apply_numeric(x, n, HALF) == want, (str(x), n)
+                assert data[n, n] == want.get(n, 0.0), (str(x), n)
+    assert apply_numeric(C, 520, HALF) == {520: 2.0**-520}
+
+
+def test_qinteger_pairs_are_the_exact_qintegers():
+    for q in ORACLE_QS + (NEAR_ONE,):
+        for lo in (1, 2, 7, 300):
+            pairs = _qintegers(q, lo)
+            for m in range(lo, lo + 60):
+                n, d = next(pairs)
+                assert Fraction(n, d) == qbracket_value(m, q), (q, m)
+
+
+def test_entry_whose_square_overflows_a_float():
+    # (1/(1-q))^600 = 2^600 at q = 1/2, so c^2 r is past the float range
+    x = expr.evaluate("(1/(1-q))^600*B")
+    want = math.ldexp(math.sqrt(float(qbracket_value(9, HALF.value))), 600)
+    got = apply_numeric(x, 8, HALF)
+    assert set(got) == {9}
+    assert abs(got[9] - want) <= 1e-12 * want
+    assert apply_symbolic(x, 8).numeric(HALF.value) == got
+    assert matrix(x, HALF, 10).data[9, 8] == got[9]
+    with pytest.raises(OverflowError):
+        apply_numeric(expr.evaluate("(1/(1-q))^1100*B"), 8, HALF)
 
 
 def test_pole_at_q0_raises():
