@@ -440,11 +440,3 @@ def element_from_json(doc) -> Element:
         (BasisWord(t["b"], t["k"], t["a"]), ratfun_from_json(t["coeff"])) for t in doc["terms"]
     )
 
-
-def format_element(x: Element, mode: str = "text"):
-    """Render an element as re-parseable text or as its JSON document."""
-    if mode == "text":
-        return element_text(x)
-    if mode == "json":
-        return element_json(x)
-    raise ValueError(f"unknown format mode {mode!r} (expected 'text' or 'json')")

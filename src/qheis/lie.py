@@ -20,7 +20,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 
-from .algebra import A, B, BasisWord, C, Element, I, bracket, multiply
+from .algebra import A, B, BasisWord, C, Element, I, ad_power, bracket, multiply
 from .ratfun import RF_ONE, RF_ONE_MINUS_Q, LinComb, RatFun, as_ratfun, qbracket, qbracket_value, signed_root
 
 
@@ -161,10 +161,7 @@ def gamma(k: int) -> Element:
     """The nested commutator (ad B)((-ad C)^k([C, A])), computed literally."""
     if k < 0:
         raise ValueError("gamma index must be nonnegative")
-    t = bracket(C, A)
-    for _ in range(k):
-        t = -bracket(C, t)
-    return bracket(B, t)
+    return bracket(B, ad_power(C, k + 1, A)).scale((-1) ** k)
 
 
 def build_ck_al_via_ad(k: int, l: int) -> Element:
@@ -172,13 +169,8 @@ def build_ck_al_via_ad(k: int, l: int) -> Element:
     -((-ad C)^k ((-ad A)^(l+1) B)) / ((1-q)^l (q^l - 1)^k)."""
     if k < 0 or l < 1:
         raise ValueError("need k >= 0 and l >= 1")
-    t = B
-    for _ in range(l + 1):
-        t = -bracket(A, t)
-    for _ in range(k):
-        t = -bracket(C, t)
     denom = RF_ONE_MINUS_Q**l * (RatFun.q_power(l) - RF_ONE) ** k
-    return (-t).scale(denom.inverse())
+    return ad_power(C, k, ad_power(A, l + 1, B)).scale((-1) ** (k + l) / denom)
 
 
 def build_bl_ck_via_ad(k: int, l: int) -> Element:
@@ -186,11 +178,7 @@ def build_bl_ck_via_ad(k: int, l: int) -> Element:
     ((ad B)^(l-1) ((ad C)^k [C, B])) / ((q-1)^(k+1) (1-q^(k+1))^(l-1))."""
     if k < 0 or l < 1:
         raise ValueError("need k >= 0 and l >= 1")
-    t = bracket(C, B)
-    for _ in range(k):
-        t = bracket(C, t)
-    for _ in range(l - 1):
-        t = bracket(B, t)
+    t = ad_power(B, l - 1, ad_power(C, k + 1, B))
     q = RatFun.q_power(1)
     denom = (q - RF_ONE) ** (k + 1) * (RF_ONE - RatFun.q_power(k + 1)) ** (l - 1)
     return t.scale(denom.inverse())

@@ -4,8 +4,10 @@ parameter q over the rationals.
 All values are immutable and kept in a canonical form, so structural
 equality is semantic equality:
 
-* ``QPolynomial`` stores a dense coefficient tuple in ascending degree with
-  ordinary rationals (`fractions.Fraction`) as entries and no trailing zero.
+* ``QPolynomial`` is a read-only view: a dense coefficient tuple in
+  ascending degree with ordinary rationals (`fractions.Fraction`) as
+  entries and no trailing zero.  It is what ``RatFun.num``/``den`` return
+  and what ``RatFun(num, den)`` and JSON input take; it has no arithmetic.
 * ``RatFun`` stores a value as c * N / D: ``c`` is one `Fraction`, and ``N``
   and ``D`` are primitive integer coefficient tuples (ascending degree,
   content 1, positive leading coefficient) with gcd(N, D) = 1.  That triple
@@ -18,15 +20,16 @@ equality is semantic equality:
   are its subclasses, and ``LinComb.collect`` is the one place where terms
   are summed.
 
-``RatFun`` arithmetic is fraction-free: it works on the integer tuples and
-computes a gcd only where a common factor can appear.  A product
-cross-cancels gcd(N1, D2) and gcd(N2, D1), and by Gauss's lemma nothing else
-can cancel; a sum over one denominator D takes one gcd of the new numerator
-with D; other sums follow Henrici, splitting off g = gcd(D1, D2) so that
-only g can share a factor with the new numerator; powers need no gcd.  The
-gcd itself splits off the common power of q and then runs a primitive
-polynomial remainder sequence over the integers (Collins 1967; Brown &
-Traub 1971).  ``QPolynomial.gcd`` uses the same routine.
+All arithmetic is fraction-free and runs on the integer tuples, by
+module-private functions; it computes a gcd only where a common factor can
+appear.  A product cross-cancels gcd(N1, D2) and gcd(N2, D1), and by
+Gauss's lemma nothing else can cancel; a sum over one denominator D takes
+one gcd of the new numerator with D; other sums follow Henrici, splitting
+off g = gcd(D1, D2) so that only g can share a factor with the new
+numerator; powers need no gcd.  The gcd itself splits off the common power
+of q and then runs a primitive polynomial remainder sequence over the
+integers (Collins 1967; Brown & Traub 1971).  ``QPolynomial.gcd`` uses the
+same routine.
 
 Coefficients are real rational functions throughout; complex conjugation
 acts as the identity on them.
@@ -182,7 +185,9 @@ def _homogeneous(p: tuple, u: int, v: int) -> int:
 
 
 class QPolynomial:
-    """Polynomial in q with rational coefficients, dense ascending storage.
+    """Read-only polynomial in q with rational coefficients, dense ascending
+    storage: the ``num``/``den`` view of a ``RatFun`` and the polynomial
+    input form of ``RatFun(num, den)``.  It has no arithmetic of its own.
 
     Invariant: the highest stored coefficient is nonzero; the zero
     polynomial stores an empty tuple and has degree -1.
@@ -202,110 +207,12 @@ class QPolynomial:
     def __reduce__(self):
         return QPolynomial, (self.coeffs,)
 
-    @classmethod
-    def zero(cls) -> "QPolynomial":
-        return _POLY_ZERO
-
-    @classmethod
-    def one(cls) -> "QPolynomial":
-        return _POLY_ONE
-
-    @classmethod
-    def q(cls) -> "QPolynomial":
-        return _POLY_Q
-
-    @classmethod
-    def constant(cls, c) -> "QPolynomial":
-        return cls((c,))
-
-    @classmethod
-    def monomial(cls, c, n: int) -> "QPolynomial":
-        """c * q^n."""
-        if n < 0:
-            raise ValueError("monomial exponent must be nonnegative")
-        return cls((0,) * n + (c,))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
-
-    def __add__(self, other: "QPolynomial") -> "QPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPolynomial(out)
-
-    def __neg__(self) -> "QPolynomial":
-        return QPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "QPolynomial") -> "QPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "QPolynomial") -> "QPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _POLY_ZERO
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return QPolynomial(out)
-
-    def scale(self, c) -> "QPolynomial":
-        c = _as_fraction(c)
-        if c == 0:
-            return _POLY_ZERO
-        return QPolynomial(tuple(c * x for x in self.coeffs))
-
-    def __pow__(self, n: int) -> "QPolynomial":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = _POLY_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __divmod__(self, other: "QPolynomial"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dd = len(div) - 1
-        lead = div[-1]
-        if len(rem) - 1 < dd:
-            return _POLY_ZERO, self
-        quot = [Fraction(0)] * (len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            f = c / lead
-            quot[i - dd] = f
-            for j in range(dd + 1):
-                rem[i - dd + j] -= f * div[j]
-        return QPolynomial(quot), QPolynomial(rem)
-
-    def monic(self) -> "QPolynomial":
-        if self.is_zero() or self.leading == 1:
-            return self
-        return self.scale(1 / self.leading)
 
     def _integral(self):
         """(c, P) with self = c * P for a primitive integer polynomial P with
@@ -318,17 +225,13 @@ class QPolynomial:
     def gcd(self, other: "QPolynomial") -> "QPolynomial":
         """Monic gcd; the gcd with the zero polynomial is the other
         argument made monic."""
-        if self.is_zero() or other.is_zero():
-            return (other if self.is_zero() else self).monic()
-        g = _gcd(self._integral()[1], other._integral()[1])
+        a, b = (other, self) if self.is_zero() else (self, other)
+        if a.is_zero():
+            return a
+        g = a._integral()[1]
+        if not b.is_zero():
+            g = _gcd(g, b._integral()[1])
         return QPolynomial(tuple(Fraction(x, g[-1]) for x in g))
-
-    def __call__(self, q0: Fraction) -> Fraction:
-        q0 = _as_fraction(q0)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * q0 + c
-        return acc
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QPolynomial) and self.coeffs == other.coeffs
@@ -366,16 +269,13 @@ class QPolynomial:
         return f"QPolynomial({self})"
 
 
-_POLY_ZERO = QPolynomial.__new__(QPolynomial)
-object.__setattr__(_POLY_ZERO, "coeffs", ())
 _POLY_ONE = QPolynomial((1,))
-_POLY_Q = QPolynomial((0, 1))
 
 
 def _poly(p) -> QPolynomial:
     if isinstance(p, QPolynomial):
         return p
-    return QPolynomial(p) if isinstance(p, (list, tuple)) else QPolynomial.constant(p)
+    return QPolynomial(p if isinstance(p, (list, tuple)) else (p,))
 
 
 _new = object.__new__

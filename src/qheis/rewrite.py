@@ -202,9 +202,6 @@ class RuleSet:
     def is_irreducible_word(self, w: Word) -> bool:
         return self.leftmost_redex(w) is None
 
-    def is_irreducible(self, fe: FreeElement) -> bool:
-        return all(self.leftmost_redex(w) is None for w in fe.terms)
-
     def __repr__(self) -> str:
         return f"RuleSet({self.name!r}, {len(self.rules)} rules)"
 

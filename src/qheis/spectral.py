@@ -342,9 +342,13 @@ def coherent_vector(c, q0, N: int) -> CoherentWitness:
     for n in range(N - 1):
         v[n + 1] = c * v[n] / alphas[n]
     av = [alphas[n] * v[n + 1] for n in range(N - 1)] + [0j]
-    num = math.sqrt(sum(abs(av[n] - c * v[n]) ** 2 for n in range(N)))
-    den = math.sqrt(sum(abs(z) ** 2 for z in v))
-    residual = num / den
+    # abs() of a complex past the float range, and float **, raise
+    # OverflowError where other float arithmetic gives inf or nan
+    try:
+        residual = math.sqrt(sum(abs(av[n] - c * v[n]) ** 2 for n in range(N)))
+        residual /= math.sqrt(sum(abs(z) ** 2 for z in v))
+    except OverflowError:
+        residual = math.inf
     if not math.isfinite(residual):
         raise ValueError("coherent vector overflowed the truncation window")
     entries = {n: z for n, z in enumerate(v) if abs(z) >= PURGE_EPS}

@@ -22,6 +22,19 @@ COPIERS = {
 }
 
 
+def poly_mul(*factors) -> tuple:
+    """Product of polynomials given as ascending coefficient sequences, as a
+    tuple of Fractions; it builds test inputs independently of the engine."""
+    out = (Fraction(1),)
+    for f in factors:
+        prod = [Fraction(0)] * (len(out) + len(f) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(f):
+                prod[i + j] += x * y
+        out = tuple(prod)
+    return out
+
+
 def random_ratfun(rng: random.Random) -> RatFun:
     n = rng.choice([-3, -2, -1, 1, 2, 3])
     kind = rng.randrange(4)

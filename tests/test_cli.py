@@ -234,6 +234,18 @@ def test_float_overflow_exits_1(capsys, argv):
     assert elapsed < 2.0
 
 
+@pytest.mark.parametrize("c, dim", [("1e300", "10"), ("30", "300")])
+def test_coherent_overflow_is_reported_as_the_window_error(capsys, c, dim):
+    start = time.perf_counter()
+    code = main(["coherent", "--c", c, "--q", "1/2", "--dim", dim])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr()
+    assert code == 1
+    assert err.out == ""
+    assert err.err == "error: coherent vector overflowed the truncation window\n"
+    assert elapsed < 2.0
+
+
 def test_entries_whose_square_overflows_a_float(capsys):
     # c = 2^600: c^2 r overflows a float while every entry is about 4e180
     assert main(["norm", "(1/(1-q))^600*B", "--q", "1/2", "--dim", "10"]) == 0

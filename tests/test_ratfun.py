@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import COPIERS
+from conftest import COPIERS, poly_mul
 
 from qheis.ratfun import (
     PoleError,
@@ -28,12 +28,11 @@ def test_cancellation_and_inverse():
 
 
 def test_division_matches_long_division_oracle():
-    # (1 - q^2) / (1 - q) computed independently via polynomial divmod
+    # (1 - q^2) / (1 - q) = 1 + q, checked independently by multiplying back
     num = QPolynomial((1, 0, -1))
     den = QPolynomial((1, -1))
-    quot, rem = divmod(num, den)
-    assert rem.is_zero()
-    assert quot == QPolynomial((1, 1))
+    quot = QPolynomial((1, 1))
+    assert poly_mul(den.coeffs, quot.coeffs) == num.coeffs
     assert RatFun(num) / RatFun(den) == RatFun(quot)
 
 
@@ -41,7 +40,7 @@ def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         ONE / RatFun.zero()
     with pytest.raises(ZeroDivisionError):
-        RatFun(QPolynomial.one(), QPolynomial.zero())
+        RatFun(QPolynomial((1,)), QPolynomial(()))
 
 
 def test_canonical_representative_unique():
@@ -51,7 +50,7 @@ def test_canonical_representative_unique():
     assert a == b
     assert hash(a) == hash(b)
     # canonical denominators are monic with no common factor left
-    assert a.den.leading == 1
+    assert a.den.coeffs[-1] == 1
     assert a.num.gcd(a.den).degree == 0
 
 
@@ -129,25 +128,23 @@ def test_evaluate_is_ring_homomorphism():
 def test_polynomial_invariants():
     assert QPolynomial((1, 2, 0, 0)).coeffs == (Fraction(1), Fraction(2))
     assert QPolynomial(()).degree == -1
-    p = QPolynomial((1, 0, -2))
-    assert p(HALF) == Fraction(1, 2)
-    assert (p * QPolynomial.one()) == p
-    q, r = divmod(p, QPolynomial((1, 1)))
-    assert q * QPolynomial((1, 1)) + r == p
+    # the view takes exact rationals only
+    with pytest.raises(TypeError):
+        QPolynomial((0.5,))
 
 
 def test_immutability():
     with pytest.raises(AttributeError):
-        ONE.num = QPolynomial.zero()
+        ONE.num = QPolynomial(())
     with pytest.raises(AttributeError):
-        QPolynomial.one().coeffs = ()
+        QPolynomial((1,)).coeffs = ()
 
 
 # a q-power denominator, a (1-q)^k denominator with a non-monic numerator,
 # and a polynomial
 PICKLE_VALUES = [
     RatFun.q_power(-3) * Fraction(5, 2),
-    RatFun(QPolynomial((2, 0, -3)), QPolynomial((1, -1)) ** 4),
+    RatFun(QPolynomial((2, 0, -3)), QPolynomial(poly_mul(*[(1, -1)] * 4))),
     QPolynomial((Fraction(1, 3), 0, -2)),
 ]
 
@@ -168,13 +165,14 @@ def _random_qpoly_pair(rng):
     def small():
         cs = [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]
         cs[-1] = cs[-1] or 1
-        return QPolynomial(cs)
+        return cs
 
     a, m, e = rng.randint(-3, 3), rng.randint(1, 4), rng.randint(-2, 2)
-    cyclic = QPolynomial((1,) + (0,) * (m - 1) + (-1,))
-    num = small() * QPolynomial.monomial(1, max(a, 0)) * cyclic ** max(e, 0)
-    den = small() * QPolynomial.monomial(1, max(-a, 0)) * cyclic ** max(-e, 0)
-    return num.scale(Fraction(rng.randint(1, 9), rng.randint(1, 9))), den
+    cyclic = (1,) + (0,) * (m - 1) + (-1,)
+    num = poly_mul(small(), (0,) * max(a, 0) + (1,), *[cyclic] * max(e, 0))
+    den = poly_mul(small(), (0,) * max(-a, 0) + (1,), *[cyclic] * max(-e, 0))
+    c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    return QPolynomial(c * x for x in num), QPolynomial(den)
 
 
 def test_arithmetic_matches_sympy_cancel():

@@ -4,6 +4,7 @@ factors q^a and (1 - q^m)^e) so that every example stays cheap."""
 
 from fractions import Fraction
 
+from conftest import poly_mul
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,9 +20,9 @@ def polynomials(draw, nonzero=True):
     cs = draw(st.lists(coefficient, min_size=1, max_size=4))
     if nonzero and not any(cs):
         cs[-1] = 1
-    p = QPolynomial(cs).scale(Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 6))))
+    c = Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
     a, m, e = draw(st.integers(0, 2)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
-    return p * QPolynomial.monomial(1, a) * QPolynomial((1,) + (0,) * (m - 1) + (-1,)) ** e
+    return QPolynomial(poly_mul([c * x for x in cs], (0,) * a + (1,), *[(1,) + (0,) * (m - 1) + (-1,)] * e))
 
 
 @st.composite
@@ -32,19 +33,19 @@ def ratfuns(draw):
 @BUDGET
 @given(ratfuns())
 def test_canonical_form(x):
-    assert x.den.leading == 1
+    assert x.den.coeffs[-1] == 1
     assert x.num.gcd(x.den).degree == 0
     assert RatFun(x.num, x.den) == x
     assert hash(RatFun(x.num, x.den)) == hash(x)
     if x.num.degree <= 0 and x.den.degree == 0:
-        c = x.num.leading
+        c = x.num.coeffs[-1] if x.num.coeffs else 0
         assert x == c and hash(x) == hash(c)
 
 
 @BUDGET
 @given(polynomials(nonzero=False), polynomials(), polynomials())
 def test_common_factors_cancel(num, den, h):
-    x = RatFun(num * h, den * h)
+    x = RatFun(poly_mul(num.coeffs, h.coeffs), poly_mul(den.coeffs, h.coeffs))
     assert x == RatFun(num, den)
     assert hash(x) == hash(RatFun(num, den))
 
