@@ -2,9 +2,11 @@
 
 An :class:`Element` is a finite linear combination of canonical monomials
 B^b C^k A^a (with b*a = 0) over exact rational functions of q.  Products
-run through the completed rewrite system by default; ``multiply_cascade``
-recomputes them from closed-form generator actions without touching the
-rewrite engine, and the two routes are held equal by the test suite.
+of monomials come in closed form, by q-binomial normal ordering
+(``monomial_product``); two independent routes recompute them, the
+completed rewrite system (``reduce_word``, and ``multiply`` under any other
+rule set) and ``multiply_cascade``, which folds closed-form generator
+actions, and the test suite holds all three equal.
 
 Everything here is a pure function over immutable values.
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ratfun import RF_ONE, RF_ONE_MINUS_Q, LinComb, RatFun
+from .ratfun import RF_ONE, RF_ONE_MINUS_Q, LinComb, RatFun, over_one_minus_q
 from .rewrite import FreeElement, RuleSet, Word, normalize_free, word, word_str
 
 
@@ -170,16 +172,102 @@ def normalize(x, rules: RuleSet = COMPLETED) -> Element:
 
 
 def multiply(x: Element, y: Element, rules: RuleSet = COMPLETED) -> Element:
-    """Product in the algebra: concatenate words termwise, then reduce."""
-    acc = FreeElement.collect(
-        item
-        for bx, cx in x.terms.items()
-        for by, cy in y.terms.items()
-        for item in normalize_free(
-            FreeElement.of_word(bx.word() + by.word(), cx * cy), rules
-        ).terms.items()
-    )
-    return _free_to_element(acc, rules)
+    """Product in the algebra.  Under the completed rules each pair of
+    monomials multiplies in closed form (:func:`monomial_product`, memoized
+    on the rule set); any other rule set concatenates words termwise and
+    reduces them, so the printed rules still report stuck words."""
+    if rules.rules is not COMPLETED.rules:
+        acc = FreeElement.collect(
+            item
+            for bx, cx in x.terms.items()
+            for by, cy in y.terms.items()
+            for item in normalize_free(
+                FreeElement.of_word(bx.word() + by.word(), cx * cy), rules
+            ).terms.items()
+        )
+        return _free_to_element(acc, rules)
+    memo = rules._product_memo
+
+    def pairs():
+        for bx, cx in x.terms.items():
+            for by, cy in y.terms.items():
+                z = memo.get((bx, by))
+                if z is None:
+                    z = memo[bx, by] = monomial_product(bx, by)
+                c = cx * cy
+                for bw, v in z.terms.items():
+                    yield bw, c * v
+
+    return Element.collect(pairs())
+
+
+# -- closed-form monomial products --------------------------------------------
+#
+# Normal ordering for the deformed boson AB - qBA = I (Katriel & Kibler,
+# J. Phys. A 25, 1992; Gasper & Rahman, Basic Hypergeometric Series, 1.3).
+# With AC = qCA and CB = qBC, so that A^r P(C) = P(q^r C) A^r and
+# P(C) B^s = B^s P(q^s C), and the q-binomial theorem:
+#
+#   A^m B^m     = (qC; q)_m / (1-q)^m
+#               = sum_j (-1)^j q^(j(j+1)/2) [m, j]_q C^j / (1-q)^m
+#   B^n C^L A^n = q^(-nL) (1-q)^(-n) C^L (C; 1/q)_n
+#               = q^(-nL) (1-q)^(-n) sum_j (-1)^j q^(-j(j-1)/2 - j(n-j)) [n, j]_q C^(L+j)
+
+
+def _qbinomials(n: int) -> list:
+    """[n, j]_q for j = 0..n as ascending integer coefficient lists, by
+    [n, j] = [n, j-1] (1 - q^(n-j+1)) / (1 - q^j)."""
+    row = [[1]]
+    p = [1]
+    for j in range(1, n + 1):
+        e = n - j + 1
+        p = p + [0] * e
+        for i in range(len(p) - 1, e - 1, -1):
+            p[i] -= p[i - e]
+        for i in range(j, len(p)):
+            p[i] += p[i - j]
+        p = p[: j * (n - j) + 1]
+        row.append(p)
+    return row
+
+
+def monomial_product(x: BasisWord, y: BasisWord) -> Element:
+    """Normal form of B^b1 C^k1 A^a1 * B^b2 C^k2 A^a2 in closed form, with
+    no rewriting.  With r = min(a1, b2) and s = |a1 - b2|, A^a1 B^b2 orders
+    to B^(b2-r) (q^(s+1) C; q)_r A^(a1-r) / (1-q)^r; the C powers then move
+    together, and the B^n C^L A^n left over, n = min(b1 + b2 - r, a1 - r + a2),
+    collapses.  Each coefficient is q^v P(q) / (1-q)^(r+n) for an integer
+    polynomial P summed from q-binomial rows, so the product has at most
+    r + n + 1 terms."""
+    r = min(x.a, y.b)
+    b_rest, a_rest = y.b - r, x.a - r
+    beta, alpha, base = x.b + b_rest, a_rest + y.a, x.k + y.k
+    n = min(beta, alpha)
+    # q-exponent of the term j1 = j2 = 0: C^k1 past B^b_rest, A^a_rest past
+    # C^k2, and q^(-nL) at L = base
+    v0 = x.k * b_rest + a_rest * y.k - n * base
+    s = abs(x.a - y.b)
+    rows1, rows2 = _qbinomials(r), _qbinomials(n)
+    acc = {}
+    for j1, p1 in enumerate(rows1):
+        e1 = v0 + j1 * (j1 + 1) // 2 + j1 * s - n * j1
+        for j2, p2 in enumerate(rows2):
+            e = e1 - j2 * (j2 - 1) // 2 - j2 * (n - j2)
+            sign = -1 if (j1 + j2) & 1 else 1
+            poly = acc.setdefault(j1 + j2, {})
+            for i, u in enumerate(p1, e):
+                for k, w in enumerate(p2, i):
+                    poly[k] = poly.get(k, 0) + sign * u * w
+    out = {}
+    for t, poly in acc.items():
+        low = min(poly)
+        dense = [0] * (max(poly) - low + 1)
+        for k, c in poly.items():
+            dense[k - low] = c
+        c = over_one_minus_q(dense, low, r + n)
+        if not c.is_zero():
+            out[BasisWord(beta - n, base + t, alpha - n)] = c
+    return Element._of(out)
 
 
 # -- independent multiplication oracle --------------------------------------

@@ -38,7 +38,8 @@ acts as the identity on them.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import frexp, gcd, lcm, ldexp, sqrt
+from math import comb, frexp, gcd, lcm, ldexp, sqrt
+from sys import float_info
 
 
 class PoleError(ArithmeticError):
@@ -524,6 +525,38 @@ RF_Q = RatFun.q_power(1)
 RF_ONE_MINUS_Q = RatFun(QPolynomial((1, -1)))
 
 
+def over_one_minus_q(p: list, v: int, m: int) -> RatFun:
+    """q^v P(q) / (1 - q)^m for integer coefficients P (ascending) and any
+    integer v, built as its canonical triple with no gcd: P has no factor
+    but q - 1 to share with the denominator, and those are divided out
+    synthetically while P(1) = 0."""
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    if not p:
+        return RF_ZERO
+    low = 0
+    while not p[low]:
+        low += 1
+    p, v = p[low:], v + low
+    # (1 - q)^m = (-1)^m (q - 1)^m
+    sign = -1 if m & 1 else 1
+    while m and not sum(p):
+        # P = (q - 1) R with R_i = -(P_0 + ... + P_i)
+        r, s = [], 0
+        for x in p[:-1]:
+            s -= x
+            r.append(s)
+        p, m = r, m - 1
+    content, n = _primitive(tuple(p))
+    d = tuple(comb(m, i) * (-1 if (m - i) & 1 else 1) for i in range(m + 1))
+    if v > 0:
+        n = (0,) * v + n
+    elif v < 0:
+        d = (0,) * -v + d
+    return _ratfun(Fraction(sign * content), n, d)
+
+
 def as_ratfun(value) -> RatFun:
     """Coerce an int, Fraction, or RatFun to a RatFun."""
     out = RatFun._coerce(value)
@@ -549,6 +582,10 @@ def qbracket_value(n: int, q0) -> Fraction:
     return (1 - q0**n) / (1 - q0)
 
 
+#: 2^-1022, the smallest normal double
+_MIN_NORMAL = float_info.min
+
+
 def signed_root(cn: int, cd: int, rn: int, rd: int) -> float:
     """The float c * sqrt(r) for c = cn/cd != 0 and r = rn/rd > 0, from
     integers with cd, rn, rd positive and neither fraction reduced.
@@ -556,20 +593,26 @@ def signed_root(cn: int, cd: int, rn: int, rd: int) -> float:
     It is the square root of c^2 r rounded once, with the sign of c: int
     true division rounds correctly for operands of any size, so the
     unreduced quotient gives the double that ``float`` of the reduced
-    ``Fraction`` gives.  Where c^2 r is past the float range, the quotient is
-    taken over 4^s times the denominator and the root scaled back by 2^s,
-    both exact; ``OverflowError`` then means |c| sqrt(r) is no finite float.
+    ``Fraction`` gives.  Where c^2 r is past the float range or below its
+    normal range, the quotient is taken with 4^s times the denominator (or
+    4^-s times the numerator) and the root scaled back by 2^s, all exact, so
+    small entries keep every bit; ``OverflowError`` means |c| sqrt(r) is no
+    finite float.
     """
     num, den = cn * cn * rn, cd * cd * rd
     try:
-        mag = sqrt(num / den)
+        square = num / den
+        if square >= _MIN_NORMAL:
+            mag = sqrt(square)
+            return mag if cn > 0 else -mag
     except OverflowError:
-        s = (num.bit_length() - den.bit_length()) // 2 - 500
-        root = sqrt(num / (den << 2 * s))
-        exp = frexp(root)[1] + s
-        if exp > 1024:
-            raise OverflowError(f"value >= 2^{exp - 1} is past the float range") from None
-        mag = ldexp(root, s)
+        pass
+    s = (num.bit_length() - den.bit_length()) // 2
+    root = sqrt(num / (den << 2 * s) if s >= 0 else (num << -2 * s) / den)
+    exp = frexp(root)[1] + s
+    if exp > 1024:
+        raise OverflowError(f"value >= 2^{exp - 1} is past the float range")
+    mag = ldexp(root, s)
     return mag if cn > 0 else -mag
 
 

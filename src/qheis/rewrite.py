@@ -155,6 +155,8 @@ class RuleSet:
         self.name = name
         self.rules = tuple(rules)
         self._nf_memo = {}
+        # closed-form products of monomial pairs, filled by algebra.multiply
+        self._product_memo = {}
 
     _printed = None
     _completed = None

@@ -13,6 +13,7 @@ from qheis.ratfun import (
     RF_ONE_MINUS_Q,
     RF_Q,
     RatFun,
+    over_one_minus_q,
     qbracket,
     qbracket_value,
     signed_root,
@@ -95,6 +96,39 @@ def test_signed_root_past_the_float_range():
     with pytest.raises(OverflowError, match="past the float range"):
         signed_root(2**1024, 1, 1, 1)
     assert signed_root(2**1023, 1, 1, 1) == math.ldexp(1.0, 1023)
+
+
+def test_signed_root_below_the_normal_range():
+    # c^2 r = 2^-1200 * 3 is below the smallest normal double, c sqrt(r) is not
+    assert signed_root(-1, 2**600, 3, 1) == -math.ldexp(math.sqrt(3.0), -600)
+    assert signed_root(5, 5 * 2**600, 3 * 7, 7) == math.ldexp(math.sqrt(3.0), -600)
+    # c sqrt(r) = 2^-1074 is the smallest subnormal; half of it rounds to 0
+    assert signed_root(1, 2**1074, 1, 1) == math.ldexp(1.0, -1074)
+    assert signed_root(1, 2**1076, 1, 1) == 0.0
+    rng = random.Random(19)
+    for _ in range(200):
+        cn, cd = rng.choice([-1, 1]) * rng.randrange(1, 10**20), rng.randrange(1, 10**20) * 7**rng.randrange(200, 600)
+        rn, rd = rng.randrange(1, 10**30), rng.randrange(1, 10**30) * 3**rng.randrange(0, 400)
+        exact = Fraction(cn, cd) ** 2 * Fraction(rn, rd)
+        # sqrt(c^2 r) through a scaled Fraction: 4^s exactly, then 2^-s
+        s = (exact.denominator.bit_length() - exact.numerator.bit_length()) // 2
+        want = math.copysign(math.ldexp(math.sqrt(float(exact * 4**s)), -s), cn)
+        assert signed_root(cn, cd, rn, rd) == want
+
+
+def test_over_one_minus_q_is_the_canonical_value():
+    rng = random.Random(23)
+    for _ in range(300):
+        p = [rng.randrange(-4, 5) for _ in range(rng.randrange(0, 6))]
+        v, m = rng.randrange(-4, 5), rng.randrange(0, 5)
+        # multiples of (1 - q) in P must cancel against the denominator
+        for _ in range(rng.randrange(0, 3)):
+            p = [x - y for x, y in zip(p + [0], [0] + p)]
+        want = RatFun(QPolynomial(p)) * RatFun.q_power(v) / RF_ONE_MINUS_Q**m
+        got = over_one_minus_q(p, v, m)
+        assert got == want, (p, v, m)
+        assert hash(got) == hash(want)
+        assert (got.num, got.den) == (want.num, want.den)
 
 
 def test_negative_q_powers():

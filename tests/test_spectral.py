@@ -60,6 +60,19 @@ def test_apply_numeric_examples():
     assert vec[3] == pytest.approx(math.sqrt(21 / 8), abs=1e-14)
 
 
+def test_apply_numeric_keeps_entries_below_the_normal_range():
+    # C v_1 = q v_1, so C^k v_1 = q^k v_1: c^2 r is below the normal range of
+    # a double while the entry itself is far above PURGE_EPS
+    got = apply_numeric(expr.evaluate("C^600"), 1, Fraction(1, 2))
+    assert list(got) == [1]
+    assert got[1] == pytest.approx(2.0**-600, rel=1e-12)
+    got = apply_numeric(expr.evaluate("3*C^520"), 1, Fraction(1, 3))
+    want = float(3 * Fraction(1, 3) ** 520)
+    assert list(got) == [1]
+    assert got[1] == pytest.approx(want, rel=1e-12)
+    assert want > 1e-300
+
+
 def test_apply_numeric_matches_symbolic():
     for bw in basis_words_up_to(3):
         x = Element({bw: RF_Q})
