@@ -37,12 +37,20 @@ equals (1-q)^(-1/2) * prod_{i<k} (1-q^(i+1))^(1/2k), so its error decays
 like O(1/k).  That slow rate is inherent to the formula, not a defect; the
 matching tolerance at k = 500 is one percent.
 
-The operator-norm default is the exact LAPACK singular value decomposition.
-A deterministic power iteration on the Gram matrix is available as an
-opt-in method, but the top of the truncated shift spectrum is exponentially
-clustered ({n}_q -> 1/(1-q) geometrically), which stalls the Rayleigh
-quotient around 5e-8 relative error no matter the iteration budget; the SVD
-route is what the verification tolerances rely on.
+The operator-norm default is exact.  Canonical words have min(b, a) = 0, so
+distinct (b, a) have distinct offsets b - a, and an element whose terms all
+share one (b, a) is one band, with at most one nonzero in each row and
+column of the truncation.  The singular values of such a matrix are the
+absolute values of its entries, so its norm is the largest of them (the
+sup-of-weights norm of a weighted shift, Shields 1974): correctly rounded,
+and read off the band fill without a dense array, numpy or an O(N^3)
+decomposition.  Every other element takes the LAPACK singular value
+decomposition of the dense truncation.  A deterministic power iteration on
+the Gram matrix is available as an opt-in method, but the top of the
+truncated shift spectrum is exponentially clustered ({n}_q -> 1/(1-q)
+geometrically), which stalls the Rayleigh quotient around 5e-8 relative
+error no matter the iteration budget; the exact route is what the
+verification tolerances rely on.
 """
 
 from __future__ import annotations
@@ -61,9 +69,10 @@ if TYPE_CHECKING:
 
 #: magnitudes below this are purged from sparse vectors
 PURGE_EPS = 1e-300
-#: largest dimension ``matrix`` (and so ``op_norm``) builds, where the dense
-#: array takes 8 N^2 bytes and the SVD O(N^3) time, and largest N of
-#: ``weights`` and the estimators, whose exact q-integers take O(N^2) bits
+#: largest dimension of ``matrix``, whose dense array takes 8 N^2 bytes and
+#: whose SVD in ``op_norm`` takes O(N^3) time, and largest N of ``op_norm``,
+#: ``weights``, the estimators and the decay report, whose exact q-integers
+#: take O(N^2) bits
 MAX_DIM = 2000
 
 
@@ -262,7 +271,8 @@ def op_norm(
 ) -> float:
     """Largest singular value of the truncated matrix of x.
 
-    ``method="svd"`` (default) is exact and deterministic.  ``"power"``
+    ``method="svd"`` (default) is exact and deterministic: the largest
+    absolute entry when x is one band, else the LAPACK SVD.  ``"power"``
     runs all-ones-seeded power iteration on the Gram matrix and raises
     :class:`NonConvergenceError` when the estimate increments do not drop
     below ``tol`` within ``max_iter`` steps; see the module notes for why
@@ -270,10 +280,14 @@ def op_norm(
     """
     if N < 2:
         raise ValueError("norm estimation needs dimension at least 2")
+    if method == "svd" and len({(bw.b, bw.a) for bw in x.terms}) <= 1:
+        # one band: at most one nonzero in each row and column
+        _check_dim(N)
+        q0 = NumericQ.coerce(q0)
+        cols = _columns(x, q0.value, 0, N)
+        return max((abs(v) for col in cols for i, v in col.items() if i < N), default=0.0)
     m = matrix(x, q0, N)
     if method == "svd":
-        if not m.data.any():
-            return 0.0
         import numpy as np
 
         return float(np.linalg.svd(m.data, compute_uv=False)[0])
@@ -445,6 +459,7 @@ class DecayReport:
 def compact_decay_report(x: Element, q0, N: int) -> DecayReport:
     if N < 1:
         raise ValueError("decay report needs at least one column")
+    _check_dim(N)
     q0 = NumericQ.coerce(q0)
     tail = [math.sqrt(sum(v * v for v in col.values())) for col in _columns(x, q0.value, 0, N)]
     peak = max(tail)

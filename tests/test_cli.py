@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 
 import qheis
+from qheis import expr
 from qheis.cli import main
 from qheis.schemas import OUTPUT_SCHEMA
 from qheis.spectral import MAX_DIM
@@ -36,6 +37,7 @@ COMMANDS = [
     ["spectrum", "--op", "A"],
     ["spectrum", "--op", "C", "--k", "2", "--q", "1/2"],
     ["norm", "B", "--q", "1/2", "--dim", "60"],
+    ["norm", "A+B", "--q", "1/2", "--dim", "60"],
     ["norm", "C^3", "--q", "1/2", "--dim", "40", "--method", "power"],
     ["radius", "--q", "1/2", "--kmax", "10", "--dim", "80"],
     ["lower-index", "--q", "1/2", "--kmax", "10", "--dim", "80"],
@@ -254,11 +256,28 @@ def test_entries_whose_square_overflows_a_float(capsys):
     assert capsys.readouterr().out.startswith("3: 5.489")
 
 
-#: the only commands that build a matrix or call LAPACK, so load numpy
-NUMPY_COMMANDS = {"norm", "radius", "lower-index"}
-NUMPY_FREE = [argv + mode for argv in COMMANDS if argv[0] not in NUMPY_COMMANDS for mode in ([], ["--json"])]
+def builds_a_matrix(argv) -> bool:
+    """`norm` of more than one band, or by power iteration, builds the dense
+    matrix; the norm of a single band is its largest entry, read off the
+    band fill.  Canonical words have min(b, a) = 0, so (b, a) names a band."""
+    if "power" in argv:
+        return True
+    return len({(bw.b, bw.a) for bw in expr.evaluate(argv[1]).terms}) > 1
+
+
+#: the only command lines that build a matrix or call LAPACK, so load numpy:
+#: the estimators, and the `norm` lines that build a matrix
+NUMPY_COMMANDS = [
+    argv for argv in COMMANDS if argv[0] in {"radius", "lower-index"} or argv[0] == "norm" and builds_a_matrix(argv)
+]
+NUMPY_FREE = [argv + mode for argv in COMMANDS if argv not in NUMPY_COMMANDS for mode in ([], ["--json"])]
 # refused by the MAX_DIM check before numpy is imported
 NUMPY_FREE.extend(OVER_MAX_DIM)
+# single bands whose entries, or their squares, are past the float range
+NUMPY_FREE += [
+    ["norm", "(1/(1-q))^1100*B", "--q", "1/2", "--dim", "10"],
+    ["norm", "(1/(1-q))^600*B", "--q", "1/2", "--dim", "10", "--json"],
+]
 
 #: runs each command line of argv[1] (JSON) under qheis.cli.main with numpy
 #: made unimportable, and prints the [exit code, stdout] of each as JSON

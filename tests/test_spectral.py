@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from qheis.algebra import A, B, BasisWord, C, Element, I, element_power, multipl
 from qheis.lie import apply_symbolic
 from qheis.ratfun import RF_ONE, RF_ONE_MINUS_Q, RF_Q, PoleError, RatFun, qbracket_value
 from qheis.spectral import (
+    MAX_DIM,
     PURGE_EPS,
     NonConvergenceError,
     NumericQ,
@@ -198,6 +200,13 @@ def test_pole_at_q0_raises():
         matrix(cancelled, HALF, 3)
     with pytest.raises(PoleError):
         apply_numeric(cancelled, 2, HALF)
+    # op_norm of several bands builds the matrix, of one band reads its entries
+    with pytest.raises(PoleError):
+        op_norm(pole, HALF, 6)
+    with pytest.raises(PoleError):
+        op_norm(cancelled, HALF, 3)
+    with pytest.raises(PoleError):
+        op_norm(pole - C, HALF, 6)
 
 
 def test_weights_and_estimators_from_exact_qintegers():
@@ -285,6 +294,41 @@ def test_op_norm_equals_monomial_weight_oracle():
             assert abs(got - want) <= 1e-12 * want, (str(bw), N, got, want)
 
 
+def _one_band_elements(rng):
+    """Seeded elements whose terms share one (b, a), pure diagonals included,
+    with several k per band and q/(1-q) among the coefficients."""
+    coeffs = (RF_ONE, -3 * RF_ONE, RF_Q / RF_ONE_MINUS_Q, RF_ONE / RF_ONE_MINUS_Q, RatFun.from_fraction(Fraction(-2, 5)))
+    for b, a in ((0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)):
+        for _ in range(3):
+            ks = rng.sample(range(4), rng.randint(1, 3))
+            yield Element({BasisWord(b, k, a): rng.choice(coeffs) for k in ks})
+
+
+def _svd_norm(x, q, N):
+    return float(np.linalg.svd(matrix(x, q, N).data, compute_uv=False)[0])
+
+
+@pytest.mark.parametrize("q", ORACLE_QS + (NEAR_ONE,), ids=str)
+def test_op_norm_of_one_band_is_its_largest_entry(q):
+    # at most one nonzero in each row and column: the singular values are
+    # the absolute entries, each rounded correctly
+    rng = random.Random(q.denominator)
+    for x in _one_band_elements(rng):
+        N = rng.randint(2, 160)
+        got = op_norm(x, q, N)
+        assert got == matrix(x, q, N).max_abs(), (str(x), N)
+        svd = _svd_norm(x, q, N)
+        assert abs(got - svd) <= 2 * np.spacing(svd), (str(x), N, got, svd)
+
+
+@pytest.mark.parametrize("q", ORACLE_QS + (NEAR_ONE,), ids=str)
+def test_op_norm_of_several_bands_is_the_svd(q):
+    for text in ("A+B", "C+B", "A*A+B"):
+        x = expr.evaluate(text)
+        for N in (2, 17, 160):
+            assert op_norm(x, q, N) == _svd_norm(x, q, N), (text, N)
+
+
 def test_op_norm_power_method():
     # separated diagonal spectrum: power iteration converges
     assert abs(op_norm(element_power(C, 3), HALF, 50, method="power") - 1.0) < 1e-10
@@ -299,6 +343,9 @@ def test_op_norm_zero_and_validation():
     assert op_norm(Element.zero(), HALF, 10) == 0.0
     with pytest.raises(ValueError):
         op_norm(B, HALF, 1)
+    for x in (B, A + B):
+        with pytest.raises(ValueError, match="MAX_DIM"):
+            op_norm(x, HALF, MAX_DIM + 1)
     with pytest.raises(ValueError):
         op_norm(B, HALF, 10, method="qr")
 
@@ -383,5 +430,10 @@ def test_compact_decay_reports():
     for bad in (0, -3):
         with pytest.raises(ValueError):
             compact_decay_report(C, HALF, bad)
+    # the q-integer table takes O(N^2) bits, so the refusal comes first
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="MAX_DIM"):
+        compact_decay_report(B, NEAR_ONE, MAX_DIM + 1)
+    assert time.perf_counter() - start < 2.0
     with pytest.raises(ValueError):
         apply_numeric(C, -1, HALF)
