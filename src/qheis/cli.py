@@ -25,8 +25,10 @@ def _finite(value: float) -> float:
     return float(value)
 
 
-def _element_payload(x) -> dict:
-    return {"element": expr.element_json(x), "text": expr.element_text(x)}
+def _element_result(x):
+    """(payload, text lines) of an element, rendered as text once."""
+    text = expr.element_text(x)
+    return {"element": expr.element_json(x), "text": text}, [text]
 
 
 def _free_element_json(fe: rewrite.FreeElement) -> dict:
@@ -94,17 +96,17 @@ def _cmd_normalize(args):
         x = expr.evaluate(args.expr)
     else:
         x = algebra.normalize(expr.eval_ast_free(expr.parse(args.expr)), rules)
-    return _element_payload(x), [expr.element_text(x)]
+    return _element_result(x)
 
 
 def _cmd_bracket(args):
     x = algebra.bracket(expr.evaluate(args.left), expr.evaluate(args.right))
-    return _element_payload(x), [expr.element_text(x)]
+    return _element_result(x)
 
 
 def _cmd_adjoint(args):
     x = algebra.adjoint(expr.evaluate(args.expr))
-    return _element_payload(x), [expr.element_text(x)]
+    return _element_result(x)
 
 
 def _cmd_decompose(args):
@@ -307,16 +309,11 @@ def _cmd_surrogate(args):
     coeff = expr.parse_ratfun(args.coeff) if args.coeff else RatFun.one()
     y = lie.lie_surrogate(coeff, args.side, args.l, args.n, args.k)
     residual = lie.surrogate_residual(coeff, args.side, args.l, args.n, args.k)
-    payload = {
-        "element": expr.element_json(y),
-        "text": expr.element_text(y),
-        "residual_zero": residual.is_zero(),
-    }
-    lines = [
-        expr.element_text(y),
-        f"residual on basis vector {args.n}: "
-        + ("0" if residual.is_zero() else str(residual)),
-    ]
+    payload, lines = _element_result(y)
+    payload["residual_zero"] = residual.is_zero()
+    lines.append(
+        f"residual on basis vector {args.n}: " + ("0" if residual.is_zero() else str(residual))
+    )
     return payload, lines
 
 

@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import A, B, BasisWord, C, Element, I, ad_power, bracket, element_power, multiply
-from .ratfun import QPolynomial, RatFun
+from .algebra import A, B, BasisWord, C, Element, I, multiply
+from .ratfun import RF_ONE, QPolynomial, RatFun
 from .rewrite import FreeElement
 
 #: Most word pairs one free product may form.  Under the printed rules the
@@ -295,31 +295,51 @@ def parse(text: str):
 _ATOMS = {"A": A, "B": B, "C": C, "I": I}
 
 
-def eval_ast(node) -> Element:
-    """Evaluate a syntax tree to a normalized element."""
+def _walk(node, embed, product):
+    """Evaluate a syntax tree given ``embed(c, letter)``, the scalar c times
+    one of A, B, C or I, and ``product``, the multiplication.  Powers,
+    brackets and ad powers run the loops of ``element_power``, ``bracket``
+    and ``ad_power`` with that product."""
     if isinstance(node, Scalar):
-        return Element.scalar(node.value)
+        return embed(node.value, "I")
     if isinstance(node, Atom):
-        return _ATOMS[node.name]
+        return embed(RF_ONE, node.name)
     if isinstance(node, Sum):
-        total = Element.zero()
+        total = None
         for sign, part in node.parts:
-            val = eval_ast(part)
-            total = total + val if sign > 0 else total - val
+            val = _walk(part, embed, product)
+            if sign < 0:
+                val = -val
+            total = val if total is None else total + val
         return total
     if isinstance(node, Product):
         out = None
         for f in node.factors:
-            val = eval_ast(f)
-            out = val if out is None else multiply(out, val)
+            val = _walk(f, embed, product)
+            out = val if out is None else product(out, val)
         return out
     if isinstance(node, Power):
-        return element_power(eval_ast(node.base), node.exponent)
+        base = _walk(node.base, embed, product)
+        out = embed(RF_ONE, "I")
+        for _ in range(node.exponent):
+            out = product(out, base)
+        return out
     if isinstance(node, Bracket):
-        return bracket(eval_ast(node.left), eval_ast(node.right))
+        left = _walk(node.left, embed, product)
+        right = _walk(node.right, embed, product)
+        return product(left, right) - product(right, left)
     if isinstance(node, AdPower):
-        return ad_power(eval_ast(node.operand), node.exponent, eval_ast(node.argument))
+        operand = _walk(node.operand, embed, product)
+        out = _walk(node.argument, embed, product)
+        for _ in range(node.exponent):
+            out = product(operand, out) - product(out, operand)
+        return out
     raise TypeError(f"not a syntax tree node: {node!r}")
+
+
+def eval_ast(node) -> Element:
+    """Evaluate a syntax tree to a normalized element."""
+    return _walk(node, lambda c, name: _ATOMS[name].scale(c), multiply)
 
 
 def evaluate(text: str) -> Element:
@@ -333,38 +353,9 @@ def eval_ast_free(node) -> FreeElement:
     input shape for reduction under a caller-chosen rule set.  Raises
     ``ValueError`` before forming a product of more than ``MAX_FREE_PAIRS``
     word pairs."""
-    if isinstance(node, Scalar):
-        return FreeElement({(): node.value})
-    if isinstance(node, Atom):
-        return FreeElement({(() if node.name == "I" else (node.name,)): RatFun.one()})
-    if isinstance(node, Sum):
-        total = FreeElement()
-        for sign, part in node.parts:
-            val = eval_ast_free(part)
-            total = total + val if sign > 0 else total - val
-        return total
-    if isinstance(node, Product):
-        out = None
-        for f in node.factors:
-            val = eval_ast_free(f)
-            out = val if out is None else _free_product(out, val)
-        return out
-    if isinstance(node, Power):
-        out = FreeElement({(): RatFun.one()})
-        base = eval_ast_free(node.base)
-        for _ in range(node.exponent):
-            out = _free_product(out, base)
-        return out
-    if isinstance(node, Bracket):
-        left, right = eval_ast_free(node.left), eval_ast_free(node.right)
-        return _free_product(left, right) - _free_product(right, left)
-    if isinstance(node, AdPower):
-        operand = eval_ast_free(node.operand)
-        out = eval_ast_free(node.argument)
-        for _ in range(node.exponent):
-            out = _free_product(operand, out) - _free_product(out, operand)
-        return out
-    raise TypeError(f"not a syntax tree node: {node!r}")
+    return _walk(
+        node, lambda c, name: FreeElement.of_word(() if name == "I" else (name,), c), _free_product
+    )
 
 
 def _free_product(x: FreeElement, y: FreeElement) -> FreeElement:
@@ -407,17 +398,13 @@ def element_text(x: Element) -> str:
     return " + ".join(f"{c}*{word_text(bw)}" for bw, c in x.sorted_terms())
 
 
-def _fraction_json(c: Fraction):
-    if c.denominator == 1:
-        return int(c)
-    return f"{c.numerator}/{c.denominator}"
+def _fraction_json(c):
+    return c if isinstance(c, int) else f"{c.numerator}/{c.denominator}"
 
 
 def ratfun_json(c: RatFun) -> dict:
-    return {
-        "num": [_fraction_json(x) for x in c.num.coeffs],
-        "den": [_fraction_json(x) for x in c.den.coeffs],
-    }
+    num, den = c._monic_coeffs()
+    return {"num": [_fraction_json(x) for x in num], "den": [_fraction_json(x) for x in den]}
 
 
 def ratfun_from_json(doc) -> RatFun:

@@ -11,9 +11,9 @@ equality is semantic equality:
 * ``RatFun`` stores a value as c * N / D: ``c`` is one `Fraction`, and ``N``
   and ``D`` are primitive integer coefficient tuples (ascending degree,
   content 1, positive leading coefficient) with gcd(N, D) = 1.  That triple
-  is unique for each rational function.  Its public face is the reduced
-  fraction ``num``/``den`` of two ``QPolynomial`` values with a *monic*
-  denominator, built from the triple on first use and cached.
+  is unique for each rational function and is all a ``RatFun`` stores.
+  Its public face, the reduced fraction ``num``/``den`` with a *monic*
+  denominator, is read from the triple on each use, with no cache.
 * ``LinComb`` is a finite linear combination with ``RatFun`` coefficients
   over hashable keys, stored as a term map with no zero coefficient.  The
   engine's algebra elements, free word sums, Laurent images and ket images
@@ -176,6 +176,12 @@ def _gcd(a: tuple, b: tuple) -> tuple:
     return (0,) * shift + b if shift else b
 
 
+def _exact_quotient(a: int, b: int):
+    """a / b as an int where b divides a, else as a ``Fraction``."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
+
+
 def _homogeneous(p: tuple, u: int, v: int) -> int:
     """v^deg(p) * p(u/v), as an integer."""
     acc, vp = 0, 1
@@ -183,6 +189,35 @@ def _homogeneous(p: tuple, u: int, v: int) -> int:
         acc = acc * u + x * vp
         vp *= v
     return acc
+
+
+def _poly_text(coeffs) -> str:
+    """Ascending coefficients (ints or Fractions, no trailing zero) as a
+    re-parseable polynomial in q."""
+    if not coeffs:
+        return "0"
+    pieces = []
+    for d, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if d == 0:
+            body = str(c)
+        else:
+            var = "q" if d == 1 else f"q^{d}"
+            if c == 1:
+                body = var
+            elif c == -1:
+                body = f"-{var}"
+            else:
+                body = f"{c}*{var}"
+        pieces.append(body)
+    text = pieces[0]
+    for body in pieces[1:]:
+        if body.startswith("-"):
+            text += f" - {body[1:]}"
+        else:
+            text += f" + {body}"
+    return text
 
 
 class QPolynomial:
@@ -241,30 +276,7 @@ class QPolynomial:
         return hash(("QPolynomial", self.coeffs))
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for d, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if d == 0:
-                body = str(c)
-            else:
-                var = "q" if d == 1 else f"q^{d}"
-                if c == 1:
-                    body = var
-                elif c == -1:
-                    body = f"-{var}"
-                else:
-                    body = f"{c}*{var}"
-            pieces.append(body)
-        text = pieces[0]
-        for body in pieces[1:]:
-            if body.startswith("-"):
-                text += f" - {body[1:]}"
-            else:
-                text += f" + {body}"
-        return text
+        return _poly_text(self.coeffs)
 
     def __repr__(self) -> str:
         return f"QPolynomial({self})"
@@ -311,12 +323,12 @@ class RatFun:
     """Rational function num/den in q, reduced with a monic denominator.
 
     The canonical representative is unique, so ``==`` over ``RatFun`` is
-    equality in the field of rational functions.  Internally the value is
-    the triple c * N / D of the module docstring; ``num`` and ``den`` are
-    derived from it.
+    equality in the field of rational functions.  The value is stored only
+    as the triple c * N / D of the module docstring; ``num``, ``den``, the
+    text and the sort key are computed from it on each use, with no cache.
     """
 
-    __slots__ = ("_c", "_n", "_d", "_num", "_den")
+    __slots__ = ("_c", "_n", "_d")
 
     def __new__(cls, num, den=_POLY_ONE):
         num, den = _poly(num), _poly(den)
@@ -334,29 +346,29 @@ class RatFun:
     def __reduce__(self):
         return _ratfun, (self._c, self._n, self._d)
 
-    def _fill(self):
-        lead = self._d[-1]
+    def _monic_coeffs(self):
+        """Coefficients of ``num`` and ``den``, (c / lead(D)) * N and
+        D / lead(D), read from the triple: ints where they are integral,
+        ``Fraction`` values otherwise."""
+        n, d = self._n, self._d
+        lead = d[-1]
+        if lead != 1:
+            d = tuple(_exact_quotient(x, lead) for x in d)
         scale = self._c / lead
-        _set(self, "_num", QPolynomial(tuple(scale * x for x in self._n)))
-        _set(self, "_den", QPolynomial(tuple(Fraction(x, lead) for x in self._d)))
+        sn, sd = scale.numerator, scale.denominator
+        if sd == 1:
+            return tuple(sn * x for x in n), d
+        return tuple(_exact_quotient(sn * x, sd) for x in n), d
 
     @property
     def num(self) -> QPolynomial:
         """Reduced numerator over the monic ``den``."""
-        try:
-            return self._num
-        except AttributeError:
-            self._fill()
-            return self._num
+        return QPolynomial(self._monic_coeffs()[0])
 
     @property
     def den(self) -> QPolynomial:
         """Monic denominator, coprime to ``num``."""
-        try:
-            return self._den
-        except AttributeError:
-            self._fill()
-            return self._den
+        return QPolynomial(self._monic_coeffs()[1])
 
     @classmethod
     def zero(cls) -> "RatFun":
@@ -507,12 +519,13 @@ class RatFun:
         return hash((self._c, self._n, self._d))
 
     def sort_key(self):
-        return (self.num.coeffs, self.den.coeffs)
+        return self._monic_coeffs()
 
     def __str__(self) -> str:
+        num, den = self._monic_coeffs()
         if self._d == _ONE:
-            return f"({self.num})"
-        return f"({self.num})/({self.den})"
+            return f"({_poly_text(num)})"
+        return f"({_poly_text(num)})/({_poly_text(den)})"
 
     def __repr__(self) -> str:
         return f"RatFun({self})"

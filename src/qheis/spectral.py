@@ -200,7 +200,6 @@ class TruncatedMatrix:
     dim: int
     q0: NumericQ
     data: np.ndarray
-    source: str
 
     def max_abs(self) -> float:
         import numpy as np
@@ -220,7 +219,7 @@ def matrix(x: Element, q0, N: int) -> TruncatedMatrix:
         for idx, v in col.items():
             if idx < N:
                 data[idx, j] = v
-    return TruncatedMatrix(dim=N, q0=q0, data=data, source=str(x))
+    return TruncatedMatrix(dim=N, q0=q0, data=data)
 
 
 class NonConvergenceError(RuntimeError):
@@ -450,7 +449,6 @@ class DecayReport:
     compactness, a tail bounded away from zero witnesses the opposite.  The
     authoritative compactness answer is the symbolic one."""
 
-    source: str
     q0: NumericQ
     tail: tuple
     verdict: str
@@ -467,4 +465,4 @@ def compact_decay_report(x: Element, q0, N: int) -> DecayReport:
         verdict = "consistent-with-compact"
     else:
         verdict = "non-compact-witness"
-    return DecayReport(source=str(x), q0=q0, tail=tuple(tail), verdict=verdict)
+    return DecayReport(q0=q0, tail=tuple(tail), verdict=verdict)

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from qheis.algebra import BasisWord, Element
-from qheis.ratfun import RF_ONE_MINUS_Q, RatFun
+from qheis.ratfun import RF_ONE_MINUS_Q, QPolynomial, RatFun
 
 
 #: the round trips an immutable value must survive, value -> new value
@@ -33,6 +33,22 @@ def poly_mul(*factors) -> tuple:
                 prod[i + j] += x * y
         out = tuple(prod)
     return out
+
+
+def random_qpoly_pair(rng: random.Random):
+    """A numerator and denominator over the rationals: small integer
+    polynomials times q^a and (1 - q^m)^e, split by the signs of a and e."""
+    def small():
+        cs = [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]
+        cs[-1] = cs[-1] or 1
+        return cs
+
+    a, m, e = rng.randint(-3, 3), rng.randint(1, 4), rng.randint(-2, 2)
+    cyclic = (1,) + (0,) * (m - 1) + (-1,)
+    num = poly_mul(small(), (0,) * max(a, 0) + (1,), *[cyclic] * max(e, 0))
+    den = poly_mul(small(), (0,) * max(-a, 0) + (1,), *[cyclic] * max(-e, 0))
+    c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    return QPolynomial(c * x for x in num), QPolynomial(den)
 
 
 def random_ratfun(rng: random.Random) -> RatFun:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_element
+from conftest import random_element, random_qpoly_pair
 from qheis.algebra import A, B, C, Element, I, bracket, multiply
 from qheis.expr import (
     AdPower,
@@ -23,6 +23,8 @@ from qheis.expr import (
     evaluate,
     parse,
     parse_ratfun,
+    ratfun_from_json,
+    ratfun_json,
 )
 from qheis.ratfun import RF_ONE_MINUS_Q, RF_Q, RatFun
 from qheis.rewrite import RuleSet
@@ -127,9 +129,33 @@ def test_corpus_round_trip():
 
 
 def test_eval_ast_free_matches_engine():
-    for text in CORPUS:
+    for text in CORPUS + ["(A+B)^0", "[A+C,B]", "ad(B)^2(A*C)"]:
         free = eval_ast_free(parse(text))
         assert alg_normalize(free, RuleSet.completed()) == evaluate(text), text
+
+
+# primitive denominators with leading coefficient other than 1, so the
+# monic denominator has Fraction entries
+NON_MONIC = ["(1-2*q)/(3-q)", "1/(2+3*q)^2", "1/(2*q^3)", "1/(1-2*q)", "0"]
+
+
+def test_coefficient_text_and_json_round_trip():
+    rng = random.Random(20261019)
+    values = [parse_ratfun(text) for text in NON_MONIC]
+    values += [RatFun(*random_qpoly_pair(rng)) for _ in range(40)]
+    assert sum(any(c.denominator != 1 for c in x.den.coeffs) for x in values) > 10
+    for x in values:
+        doc = ratfun_json(x)
+        assert parse_ratfun(str(x)) == x
+        assert ratfun_from_json(doc) == x
+        assert doc["den"][-1] == 1
+        # the same text and JSON as formatted from the num/den view
+        num, den = x.num, x.den
+        assert str(x) == (f"({num})" if den.coeffs == (1,) else f"({num})/({den})")
+        assert doc == {
+            key: [int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}" for c in p.coeffs]
+            for key, p in (("num", num), ("den", den))
+        }
 
 
 def test_parse_errors_carry_columns():

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import COPIERS, poly_mul
+from conftest import COPIERS, poly_mul, random_qpoly_pair
 
 from qheis.ratfun import (
     PoleError,
@@ -193,22 +193,6 @@ def test_values_survive_pickle_and_copy(value, copier):
     assert str(back) == str(value)
 
 
-def _random_qpoly_pair(rng):
-    """A numerator and denominator over the rationals: small integer
-    polynomials times q^a and (1 - q^m)^e, split by the signs of a and e."""
-    def small():
-        cs = [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]
-        cs[-1] = cs[-1] or 1
-        return cs
-
-    a, m, e = rng.randint(-3, 3), rng.randint(1, 4), rng.randint(-2, 2)
-    cyclic = (1,) + (0,) * (m - 1) + (-1,)
-    num = poly_mul(small(), (0,) * max(a, 0) + (1,), *[cyclic] * max(e, 0))
-    den = poly_mul(small(), (0,) * max(-a, 0) + (1,), *[cyclic] * max(-e, 0))
-    c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-    return QPolynomial(c * x for x in num), QPolynomial(den)
-
-
 def test_arithmetic_matches_sympy_cancel():
     sympy = pytest.importorskip("sympy")
     qs = sympy.Symbol("q")
@@ -228,7 +212,7 @@ def test_arithmetic_matches_sympy_cancel():
         return x.num.coeffs, x.den.coeffs
 
     rng = random.Random(20261018)
-    pairs = [_random_qpoly_pair(rng) for _ in range(16)]
+    pairs = [random_qpoly_pair(rng) for _ in range(16)]
     values = [(RatFun(n, d), sympy.cancel(to_sympy(n) / to_sympy(d))) for n, d in pairs]
     for (x, sx), (y, sy) in zip(values, values[1:] + values[:1]):
         assert ours(x) == canonical(sx)
