@@ -49,7 +49,13 @@ class BasisWord:
         return (self.degree, self.b, self.k, self.a)
 
     def __str__(self) -> str:
-        return word_str(self.word())
+        parts = []
+        for letter, e in (("B", self.b), ("C", self.k), ("A", self.a)):
+            if e == 1:
+                parts.append(letter)
+            elif e > 1:
+                parts.append(f"{letter}^{e}")
+        return "*".join(parts) if parts else "I"
 
 
 def _classify_word(w: Word) -> BasisWord:
@@ -139,7 +145,7 @@ COMPLETED = RuleSet.completed()
 PRINTED = RuleSet.printed()
 
 
-def _free_to_element(fe: FreeElement, rules: RuleSet) -> Element:
+def _free_to_element(fe: FreeElement) -> Element:
     # distinct words classify to distinct basis words: nothing to merge
     terms = {}
     stuck = []
@@ -159,7 +165,7 @@ def reduce_word(w, rules: RuleSet = COMPLETED) -> Element:
     :class:`StuckWordError` instead of being coerced."""
     if isinstance(w, str):
         w = word("" if w == "I" else w)
-    return _free_to_element(normalize_free(FreeElement.of_word(w), rules), rules)
+    return _free_to_element(normalize_free(FreeElement.of_word(w), rules))
 
 
 def normalize(x, rules: RuleSet = COMPLETED) -> Element:
@@ -168,7 +174,7 @@ def normalize(x, rules: RuleSet = COMPLETED) -> Element:
     fe = x.free() if isinstance(x, Element) else x
     if not isinstance(fe, FreeElement):
         raise TypeError("normalize expects an Element or FreeElement")
-    return _free_to_element(normalize_free(fe, rules), rules)
+    return _free_to_element(normalize_free(fe, rules))
 
 
 def multiply(x: Element, y: Element, rules: RuleSet = COMPLETED) -> Element:
@@ -185,7 +191,7 @@ def multiply(x: Element, y: Element, rules: RuleSet = COMPLETED) -> Element:
                 FreeElement.of_word(bx.word() + by.word(), cx * cy), rules
             ).terms.items()
         )
-        return _free_to_element(acc, rules)
+        return _free_to_element(acc)
     memo = rules._product_memo
 
     def pairs():

@@ -28,42 +28,31 @@ def _finite(value: float) -> float:
 def _element_result(x):
     """(payload, text lines) of an element, rendered as text once."""
     text = expr.element_text(x)
-    return {"element": expr.element_json(x), "text": text}, [text]
+    return {"element": x, "text": text}, [text]
 
 
-def _free_element_json(fe: rewrite.FreeElement) -> dict:
-    return {
-        "words": [
-            {"word": rewrite.word_str(w), "coeff": expr.ratfun_json(c)}
-            for w, c in fe.sorted_terms()
+def _reports_result(reports):
+    """(payload, text lines) of identity reports; a report's text label is
+    its identity name followed by its parameters, if it has any."""
+    payload = {
+        "reports": [
+            {
+                "identity": r.identity,
+                "params": dict(r.params),
+                "verdict": r.verdict,
+                "difference": r.difference,
+                "lhs": r.lhs,
+                "rhs": r.rhs,
+            }
+            for r in reports
         ]
     }
-
-
-def _identity_report_json(r: lie.IdentityReport) -> dict:
-    return {
-        "identity": r.identity,
-        "params": dict(r.params),
-        "verdict": r.verdict,
-        "difference": expr.element_json(r.difference),
-        "lhs": expr.element_json(r.lhs),
-        "rhs": expr.element_json(r.rhs),
-    }
-
-
-def _ket_payload(ki: lie.KetImage) -> dict:
-    entries = []
-    for target in ki.targets():
-        entries.append(
-            {
-                "target": target,
-                "scalars": [
-                    {"coeff": expr.ratfun_json(s.coeff), "radicand": list(s.radicand)}
-                    for s in ki.scalars(target)
-                ],
-            }
-        )
-    return {"entries": entries, "zero": ki.is_zero()}
+    lines = []
+    for r in reports:
+        label = f"{r.identity} {r.params}" if r.params else r.identity
+        verdict = "ok" if r.verdict else f"DIFFERS: {expr.element_text(r.difference)}"
+        lines.append(f"{label}: {verdict}")
+    return payload, lines
 
 
 def _parse_q(text: str) -> spectral.NumericQ:
@@ -83,7 +72,10 @@ def _parse_complex(text: str) -> complex:
     raise ValueError("complex value must be RE or RE,IM")
 
 
-# -- per-command handlers; each returns (payload, text_lines) -----------------
+# -- per-command handlers -------------------------------------------------------
+#
+# Each returns (payload, text_lines).  Payload values may be RatFun, Element
+# or FreeElement; main encodes them, in JSON mode only, by expr.json_default.
 
 
 def _cmd_normalize(args):
@@ -112,10 +104,10 @@ def _cmd_adjoint(args):
 def _cmd_decompose(args):
     d = lie.decompose(expr.evaluate(args.expr))
     payload = {
-        "linear_A": expr.ratfun_json(d.coeff_a),
-        "linear_B": expr.ratfun_json(d.coeff_b),
-        "derived": expr.element_json(d.derived),
-        "e_part": expr.element_json(d.e_part),
+        "linear_A": d.coeff_a,
+        "linear_B": d.coeff_b,
+        "derived": d.derived,
+        "e_part": d.e_part,
     }
     lines = [
         f"coefficient of A: {d.coeff_a}",
@@ -126,24 +118,15 @@ def _cmd_decompose(args):
     return payload, lines
 
 
-def _cmd_is_lie(args):
-    value = lie.is_lie_polynomial(expr.evaluate(args.expr))
-    return {"value": value}, ["true" if value else "false"]
-
-
-def _cmd_is_compact(args):
-    value = lie.is_compact(expr.evaluate(args.expr))
+def _cmd_predicate(args):
+    test = {"is-lie": lie.is_lie_polynomial, "is-compact": lie.is_compact}[args.command]
+    value = test(expr.evaluate(args.expr))
     return {"value": value}, ["true" if value else "false"]
 
 
 def _cmd_calkin(args):
     lp = lie.calkin_image(expr.evaluate(args.expr))
-    payload = {
-        "terms": [
-            {"power": e, "coeff": expr.ratfun_json(c)} for e, c in lp.sorted_terms()
-        ],
-        "text": str(lp),
-    }
+    payload = {"terms": [{"power": e, "coeff": c} for e, c in lp.sorted_terms()], "text": str(lp)}
     return payload, [str(lp)]
 
 
@@ -151,7 +134,16 @@ def _cmd_apply(args):
     x = expr.evaluate(args.expr)
     if args.q is None:
         ki = lie.apply_symbolic(x, args.n)
-        return _ket_payload(ki), [str(ki)]
+        entries = [
+            {
+                "target": target,
+                "scalars": [
+                    {"coeff": s.coeff, "radicand": list(s.radicand)} for s in ki.scalars(target)
+                ],
+            }
+            for target in ki.targets()
+        ]
+        return {"entries": entries, "zero": ki.is_zero()}, [str(ki)]
     q0 = _parse_q(args.q)
     vec = spectral.apply_numeric(x, args.n, q0)
     payload = {
@@ -165,23 +157,11 @@ def _cmd_apply(args):
 
 
 def _cmd_verify_identities(args):
-    reports = lie.verify_identity_suite(args.kmax, args.lmax)
-    payload = {"reports": [_identity_report_json(r) for r in reports]}
-    lines = [
-        f"{r.identity} {r.params}: {'ok' if r.verdict else 'DIFFERS: ' + expr.element_text(r.difference)}"
-        for r in reports
-    ]
-    return payload, lines
+    return _reports_result(lie.verify_identity_suite(args.kmax, args.lmax))
 
 
 def _cmd_verify_fredholm(args):
-    reports = lie.verify_fredholm_relations()
-    payload = {"reports": [_identity_report_json(r) for r in reports]}
-    lines = [
-        f"{r.identity}: {'ok' if r.verdict else 'DIFFERS: ' + expr.element_text(r.difference)}"
-        for r in reports
-    ]
-    return payload, lines
+    return _reports_result(lie.verify_fredholm_relations())
 
 
 def _cmd_verify_confluence(args):
@@ -196,7 +176,7 @@ def _cmd_verify_confluence(args):
                 "word": r.word_text,
                 "kind": r.kind,
                 "resolvable": r.resolvable,
-                "outcomes": [_free_element_json(o) for o in r.outcomes],
+                "outcomes": r.outcomes,
             }
             for r in summary.reports
         ],
@@ -222,7 +202,7 @@ def _cmd_spectrum(args):
     payload = {
         "operator": facts.operator,
         "k": facts.k,
-        "radius_sq": expr.ratfun_json(facts.radius_sq),
+        "radius_sq": facts.radius_sq,
         "point_spectrum": facts.point_spectrum,
         "approx_point_spectrum": facts.approx_point_spectrum,
         "compression_spectrum": facts.compression_spectrum,
@@ -260,26 +240,21 @@ def _cmd_norm(args):
     return payload, [repr(value)]
 
 
-def _estimate_payload(estimates, q0, kmax, dim):
-    return {
-        "estimates": [_finite(v) for v in estimates],
-        "final": _finite(estimates[-1]),
+def _cmd_estimate(args):
+    estimate = {
+        "radius": spectral.spectral_radius_est,
+        "lower-index": spectral.lower_index_est,
+    }[args.command]
+    q0 = _parse_q(args.q)
+    est = estimate(q0, args.kmax, args.dim)
+    payload = {
+        "estimates": [_finite(v) for v in est],
+        "final": _finite(est[-1]),
         "q": str(q0.value),
-        "kmax": kmax,
-        "dim": dim,
+        "kmax": args.kmax,
+        "dim": args.dim,
     }
-
-
-def _cmd_radius(args):
-    q0 = _parse_q(args.q)
-    est = spectral.spectral_radius_est(q0, args.kmax, args.dim)
-    return _estimate_payload(est, q0, args.kmax, args.dim), [repr(est[-1])]
-
-
-def _cmd_lower_index(args):
-    q0 = _parse_q(args.q)
-    est = spectral.lower_index_est(q0, args.kmax, args.dim)
-    return _estimate_payload(est, q0, args.kmax, args.dim), [repr(est[-1])]
+    return payload, [repr(est[-1])]
 
 
 def _cmd_coherent(args):
@@ -325,9 +300,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("--json", action="store_true", help="emit the JSON output document")
+    def add(name, handler, parent=sub, **kwargs):
+        p = parent.add_parser(name, **kwargs)
+        # the verify suites list --json without a description
+        json_help = "emit the JSON output document" if parent is sub else None
+        p.add_argument("--json", action="store_true", help=json_help)
         p.set_defaults(handler=handler)
         return p
 
@@ -345,10 +322,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("decompose", _cmd_decompose, help="A/B-linear, derived, and remainder parts")
     p.add_argument("expr")
 
-    p = add("is-lie", _cmd_is_lie, help="membership in the commutator Lie algebra")
+    p = add("is-lie", _cmd_predicate, help="membership in the commutator Lie algebra")
     p.add_argument("expr")
 
-    p = add("is-compact", _cmd_is_compact, help="compactness of the represented operator")
+    p = add("is-compact", _cmd_predicate, help="compactness of the represented operator")
     p.add_argument("expr")
 
     p = add("calkin", _cmd_calkin, help="Laurent-polynomial image modulo compacts")
@@ -362,19 +339,13 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="built-in verification suites")
     vsub = verify.add_subparsers(dest="verify_command", required=True)
 
-    def addv(name, handler, **kwargs):
-        p = vsub.add_parser(name, **kwargs)
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(handler=handler)
-        return p
-
-    p = addv("identities", _cmd_verify_identities, help="nested-commutator rebuild identities")
+    p = add("identities", _cmd_verify_identities, vsub, help="nested-commutator rebuild identities")
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--lmax", type=int, required=True)
 
-    addv("fredholm", _cmd_verify_fredholm, help="invertibility-modulo-compacts relations")
+    add("fredholm", _cmd_verify_fredholm, vsub, help="invertibility-modulo-compacts relations")
 
-    p = addv("confluence", _cmd_verify_confluence, help="ambiguity resolution report")
+    p = add("confluence", _cmd_verify_confluence, vsub, help="ambiguity resolution report")
     p.add_argument("--rules", choices=("printed", "completed"), required=True)
     p.add_argument("--maxlen", type=int, required=True)
 
@@ -389,12 +360,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--method", choices=("svd", "power"), default="svd")
 
-    p = add("radius", _cmd_radius, help="spectral radius estimates from weight windows")
+    p = add("radius", _cmd_estimate, help="spectral radius estimates from weight windows")
     p.add_argument("--q", required=True)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
 
-    p = add("lower-index", _cmd_lower_index, help="lower index estimates from weight windows")
+    p = add("lower-index", _cmd_estimate, help="lower index estimates from weight windows")
     p.add_argument("--q", required=True)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
@@ -437,7 +408,7 @@ def main(argv=None) -> int:
         return 1
     if args.json:
         doc = {"command": command, "format_version": 1, "result": payload}
-        json.dump(doc, sys.stdout, indent=2)
+        json.dump(doc, sys.stdout, indent=2, default=expr.json_default)
         sys.stdout.write("\n")
     else:
         for line in lines:

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .algebra import A, B, BasisWord, C, Element, I, multiply
 from .ratfun import RF_ONE, QPolynomial, RatFun
-from .rewrite import FreeElement
+from .rewrite import FreeElement, word_str
 
 #: Most word pairs one free product may form.  Under the printed rules the
 #: free word sum is reduced word by word, so this bounds that work:
@@ -382,20 +382,12 @@ def parse_ratfun(text: str) -> RatFun:
 
 
 def word_text(bw: BasisWord) -> str:
-    parts = []
-    for letter, e in (("B", bw.b), ("C", bw.k), ("A", bw.a)):
-        if e == 1:
-            parts.append(letter)
-        elif e > 1:
-            parts.append(f"{letter}^{e}")
-    return "*".join(parts) if parts else "I"
+    return str(bw)
 
 
 def element_text(x: Element) -> str:
     """Terms in graded order, each as (coefficient)*word; re-parseable."""
-    if x.is_zero():
-        return "0"
-    return " + ".join(f"{c}*{word_text(bw)}" for bw, c in x.sorted_terms())
+    return str(x)
 
 
 def _fraction_json(c):
@@ -420,6 +412,20 @@ def element_json(x: Element) -> dict:
             for bw, c in x.sorted_terms()
         ]
     }
+
+
+def json_default(value):
+    """The ``default`` hook of ``json.dump``: the JSON form of a ``RatFun``,
+    an ``Element`` or a ``FreeElement``."""
+    # called by their module names, which perfbench/tracing.py rebinds
+    if isinstance(value, RatFun):
+        return ratfun_json(value)
+    if isinstance(value, Element):
+        return element_json(value)
+    if isinstance(value, FreeElement):
+        words = value.sorted_terms()
+        return {"words": [{"word": word_str(w), "coeff": ratfun_json(c)} for w, c in words]}
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def element_from_json(doc) -> Element:

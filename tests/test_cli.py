@@ -60,7 +60,13 @@ def test_every_command_emits_schema_valid_json(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: " ".join(argv))
-def test_every_command_has_text_mode(argv, capsys):
+def test_every_command_has_text_mode(argv, monkeypatch, capsys):
+    def refuse(value):
+        raise AssertionError("text mode must not build JSON")
+
+    # payloads hold values, which only JSON mode encodes
+    for name in ("element_json", "ratfun_json", "json_default"):
+        monkeypatch.setattr(expr, name, refuse)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 0
@@ -191,6 +197,21 @@ def test_printed_normalize_under_the_cap_reports_stuck_words(capsys):
     assert code == 1
     assert err.out == ""
     assert "irreducible non-basis words: BBBCA, BBCAA, BCA, BCAAA, BCCA" in err.err
+
+
+@pytest.mark.parametrize("rules", ["printed", "completed"])
+def test_confluence_over_max_ambiguity_len_is_refused(capsys, rules):
+    from qheis.rewrite import MAX_AMBIGUITY_LEN
+
+    start = time.perf_counter()
+    code = main(["verify", "confluence", "--rules", rules, "--maxlen", "80"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr()
+    assert MAX_AMBIGUITY_LEN < 80
+    assert code == 1
+    assert err.out == ""
+    assert "MAX_AMBIGUITY_LEN" in err.err
+    assert elapsed < 2.0
 
 
 #: one command line per command that takes --dim, over the limit

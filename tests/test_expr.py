@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_element, random_qpoly_pair
-from qheis.algebra import A, B, C, Element, I, bracket, multiply
+from qheis.algebra import A, B, C, BasisWord, Element, I, bracket, multiply
 from qheis.expr import (
     AdPower,
     Atom,
@@ -100,6 +102,35 @@ def test_json_round_trip_random():
     for _ in range(200):
         x = random_element(rng)
         assert element_from_json(element_json(x)) == x
+
+
+# -- text round trip under a size budget: word degree <= 4 ------------------
+
+small = st.sampled_from([-3, -2, -1, 1, 2, 3])
+
+# the conftest.random_ratfun shapes: n, n/d, n/(1 - q) and n q^e
+coefficients = st.one_of(
+    small.map(RatFun.from_fraction),
+    st.builds(lambda n, d: RatFun.from_fraction(Fraction(n, d)), small, st.integers(1, 3)),
+    small.map(lambda n: RatFun.from_fraction(n) / RF_ONE_MINUS_Q),
+    st.builds(lambda n, e: RatFun.from_fraction(n) * RatFun.q_power(e), small, st.integers(1, 2)),
+)
+
+
+@st.composite
+def basis_words(draw):
+    deg = draw(st.integers(0, 4))
+    k = draw(st.integers(0, deg))
+    if draw(st.booleans()):
+        return BasisWord(deg - k, k, 0)
+    return BasisWord(0, k, deg - k)
+
+
+@settings(max_examples=100, deadline=5000, derandomize=True, database=None)
+@given(st.dictionaries(basis_words(), coefficients, max_size=4).map(Element))
+def test_str_is_the_reparseable_element_text(x):
+    assert str(x) == element_text(x)
+    assert evaluate(str(x)) == x
 
 
 CORPUS = [
