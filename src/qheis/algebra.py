@@ -13,30 +13,27 @@ Everything here is a pure function over immutable values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .ratfun import RF_ONE, RF_ONE_MINUS_Q, LinComb, RatFun, over_one_minus_q
 from .rewrite import FreeElement, RuleSet, Word, normalize_free, word, word_str
 
 
-@dataclass(frozen=True, order=True)
-class BasisWord:
+class BasisWord(namedtuple("BasisWord", "b k a")):
     """Canonical monomial B^b C^k A^a; (0, 0, 0) is the identity I.
 
-    A monomial carries B-powers or A-powers, never both.
+    A monomial carries B-powers or A-powers, never both.  Hash and order are
+    those of the tuple (b, k, a).
     """
 
-    b: int
-    k: int
-    a: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.b < 0 or self.k < 0 or self.a < 0:
+    def __new__(cls, b: int, k: int, a: int):
+        if b < 0 or k < 0 or a < 0:
             raise ValueError("basis word exponents must be nonnegative")
-        if self.b and self.a:
-            raise ValueError(
-                f"B^{self.b} C^{self.k} A^{self.a} is not canonical: b*a must be 0"
-            )
+        if b and a:
+            raise ValueError(f"B^{b} C^{k} A^{a} is not canonical: b*a must be 0")
+        return tuple.__new__(cls, (b, k, a))
 
     @property
     def degree(self) -> int:

@@ -10,13 +10,15 @@ Results go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
 
-from . import algebra, expr, lie, rewrite, spectral
-from .ratfun import PoleError, RatFun
+from . import algebra, expr, rewrite
+from .ratfun import RatFun
+
+# lie and spectral are imported by the handlers that run them, and json in
+# JSON mode only, so that a command loads and compiles only what it uses
 
 
 def _finite(value: float) -> float:
@@ -55,7 +57,9 @@ def _reports_result(reports):
     return payload, lines
 
 
-def _parse_q(text: str) -> spectral.NumericQ:
+def _parse_q(text: str):
+    from . import spectral
+
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
@@ -102,6 +106,8 @@ def _cmd_adjoint(args):
 
 
 def _cmd_decompose(args):
+    from . import lie
+
     d = lie.decompose(expr.evaluate(args.expr))
     payload = {
         "linear_A": d.coeff_a,
@@ -119,12 +125,16 @@ def _cmd_decompose(args):
 
 
 def _cmd_predicate(args):
+    from . import lie
+
     test = {"is-lie": lie.is_lie_polynomial, "is-compact": lie.is_compact}[args.command]
     value = test(expr.evaluate(args.expr))
     return {"value": value}, ["true" if value else "false"]
 
 
 def _cmd_calkin(args):
+    from . import lie
+
     lp = lie.calkin_image(expr.evaluate(args.expr))
     payload = {"terms": [{"power": e, "coeff": c} for e, c in lp.sorted_terms()], "text": str(lp)}
     return payload, [str(lp)]
@@ -133,6 +143,8 @@ def _cmd_calkin(args):
 def _cmd_apply(args):
     x = expr.evaluate(args.expr)
     if args.q is None:
+        from . import lie
+
         ki = lie.apply_symbolic(x, args.n)
         entries = [
             {
@@ -144,6 +156,8 @@ def _cmd_apply(args):
             for target in ki.targets()
         ]
         return {"entries": entries, "zero": ki.is_zero()}, [str(ki)]
+    from . import spectral
+
     q0 = _parse_q(args.q)
     vec = spectral.apply_numeric(x, args.n, q0)
     payload = {
@@ -157,10 +171,14 @@ def _cmd_apply(args):
 
 
 def _cmd_verify_identities(args):
+    from . import lie
+
     return _reports_result(lie.verify_identity_suite(args.kmax, args.lmax))
 
 
 def _cmd_verify_fredholm(args):
+    from . import lie
+
     return _reports_result(lie.verify_fredholm_relations())
 
 
@@ -197,6 +215,8 @@ def _cmd_verify_confluence(args):
 
 
 def _cmd_spectrum(args):
+    from . import spectral
+
     q0 = _parse_q(args.q) if args.q is not None else None
     facts = spectral.spectrum_facts(args.op, k=args.k, q0=q0)
     payload = {
@@ -229,6 +249,8 @@ def _cmd_spectrum(args):
 
 
 def _cmd_norm(args):
+    from . import spectral
+
     q0 = _parse_q(args.q)
     value = spectral.op_norm(expr.evaluate(args.expr), q0, args.dim, method=args.method)
     payload = {
@@ -241,6 +263,8 @@ def _cmd_norm(args):
 
 
 def _cmd_estimate(args):
+    from . import spectral
+
     estimate = {
         "radius": spectral.spectral_radius_est,
         "lower-index": spectral.lower_index_est,
@@ -258,6 +282,8 @@ def _cmd_estimate(args):
 
 
 def _cmd_coherent(args):
+    from . import spectral
+
     q0 = _parse_q(args.q)
     c = _parse_complex(args.c)
     witness = spectral.coherent_vector(c, q0, args.dim)
@@ -281,6 +307,8 @@ def _cmd_coherent(args):
 
 
 def _cmd_surrogate(args):
+    from . import lie
+
     coeff = expr.parse_ratfun(args.coeff) if args.coeff else RatFun.one()
     y = lie.lie_surrogate(coeff, args.side, args.l, args.n, args.k)
     residual = lie.surrogate_residual(coeff, args.side, args.l, args.n, args.k)
@@ -396,17 +424,15 @@ def main(argv=None) -> int:
     except expr.ParseError as e:
         print(f"syntax error: {e}", file=sys.stderr)
         return 2
-    except (
-        PoleError,
-        ZeroDivisionError,
-        algebra.StuckWordError,
-        spectral.NonConvergenceError,
-        ValueError,
-        OverflowError,
-    ) as e:
+    # domain errors are ArithmeticErrors (poles, zero divisors, overflow,
+    # non-convergence) or ValueErrors (stuck words, bad q, sizes over a
+    # limit); a RuntimeError, such as RecursionError, is not one
+    except (ArithmeticError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     if args.json:
+        import json
+
         doc = {"command": command, "format_version": 1, "result": payload}
         json.dump(doc, sys.stdout, indent=2, default=expr.json_default)
         sys.stdout.write("\n")

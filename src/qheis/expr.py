@@ -23,7 +23,7 @@ position, and dividing by the zero scalar raises ZeroDivisionError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import A, B, BasisWord, C, Element, I, multiply
@@ -58,11 +58,8 @@ _SYMBOLS = set("+-*/^()[],")
 _NAMES = {"A", "B", "C", "I", "q", "ad"}
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "nat", "name", a symbol, or "end"
-    text: str
-    column: int
+#: kind is "nat", "name", a symbol, or "end"
+Token = namedtuple("Token", "kind text column")
 
 
 def tokenize(text: str):
@@ -105,43 +102,13 @@ def tokenize(text: str):
 # -- syntax tree --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Scalar:
-    value: RatFun
-
-
-@dataclass(frozen=True)
-class Atom:
-    name: str  # A, B, C, or I
-
-
-@dataclass(frozen=True)
-class Sum:
-    parts: tuple  # of (sign, node) with sign in {+1, -1}
-
-
-@dataclass(frozen=True)
-class Product:
-    factors: tuple
-
-
-@dataclass(frozen=True)
-class Power:
-    base: object
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Bracket:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class AdPower:
-    operand: object
-    exponent: int
-    argument: object
+Scalar = namedtuple("Scalar", "value")  # a RatFun
+Atom = namedtuple("Atom", "name")  # A, B, C, or I
+Sum = namedtuple("Sum", "parts")  # (sign, node) pairs with sign in {+1, -1}
+Product = namedtuple("Product", "factors")
+Power = namedtuple("Power", "base exponent")
+Bracket = namedtuple("Bracket", "left right")
+AdPower = namedtuple("AdPower", "operand exponent argument")
 
 
 def _make_sum(parts):

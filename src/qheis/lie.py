@@ -18,7 +18,7 @@ which is what makes the residual checks below exact rather than numeric.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .algebra import A, B, BasisWord, C, Element, I, ad_power, bracket, multiply
 from .ratfun import RF_ONE, RF_ONE_MINUS_Q, LinComb, RatFun, as_ratfun, qbracket, qbracket_value, signed_root
@@ -27,16 +27,12 @@ from .ratfun import RF_ONE, RF_ONE_MINUS_Q, LinComb, RatFun, as_ratfun, qbracket
 # -- Lie / non-Lie decomposition ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(namedtuple("Decomposition", "coeff_a coeff_b derived e_part")):
     """Split of an element into its A/B-linear part, the part supported on
     monomials containing C (the derived part), and the rest (identity and
     pure generator powers of degree >= 2)."""
 
-    coeff_a: RatFun
-    coeff_b: RatFun
-    derived: Element
-    e_part: Element
+    __slots__ = ()
 
     @property
     def linear_ab(self):
@@ -123,19 +119,18 @@ def calkin_image(x: Element) -> LaurentPoly:
 # -- identity verification ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    identity: str
-    params: dict
-    lhs: Element
-    rhs: Element
-    difference: Element = field(init=False)
-    verdict: bool = field(init=False)
+class IdentityReport(namedtuple("IdentityReport", "identity params lhs rhs difference verdict")):
+    """One identity check: ``difference``, lhs - rhs, and ``verdict``,
+    whether it is zero, are computed on construction."""
 
-    def __post_init__(self):
-        diff = self.lhs - self.rhs
-        object.__setattr__(self, "difference", diff)
-        object.__setattr__(self, "verdict", diff.is_zero())
+    __slots__ = ()
+
+    def __new__(cls, identity: str, params: dict, lhs: Element, rhs: Element):
+        diff = lhs - rhs
+        return super().__new__(cls, identity, params, lhs, rhs, diff, diff.is_zero())
+
+    def __getnewargs__(self):
+        return self[:4]
 
 
 def verify_fredholm_relations():
@@ -259,14 +254,12 @@ def verify_identity_suite(kmax: int, lmax: int):
 # -- exact application to basis vectors ---------------------------------------
 
 
-@dataclass(frozen=True)
-class SqrtScalar:
+class SqrtScalar(namedtuple("SqrtScalar", "coeff radicand")):
     """A scalar of the form coeff * sqrt(prod of q-integers {m}_q over the
     radicand indices).  Radicands are sorted index multisets, so scalars
     that must cancel share a radicand and merge exactly."""
 
-    coeff: RatFun
-    radicand: tuple
+    __slots__ = ()
 
     def __str__(self) -> str:
         if not self.radicand:

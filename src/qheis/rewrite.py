@@ -39,7 +39,7 @@ results, so concurrent use is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .ratfun import RF_ONE, RF_ONE_MINUS_Q, LinComb, RatFun
 
@@ -280,15 +280,12 @@ def reachable_normal_forms(start: FreeElement, rules: RuleSet):
     return sorted(outcomes, key=FreeElement.sort_key)
 
 
-@dataclass(frozen=True)
-class AmbiguityReport:
+class AmbiguityReport(namedtuple("AmbiguityReport", "word kind resolvable outcomes")):
     """A word admitting two competing reductions, with every normal form
-    the exhaustive search can reach from it."""
+    the exhaustive search can reach from it; ``kind`` is "overlap" or
+    "inclusion"."""
 
-    word: Word
-    kind: str  # "overlap" or "inclusion"
-    resolvable: bool
-    outcomes: tuple
+    __slots__ = ()
 
     @property
     def word_text(self) -> str:
@@ -339,17 +336,18 @@ def list_ambiguities(rules: RuleSet, max_len: int):
     return reports
 
 
-@dataclass(frozen=True)
-class ConfluenceSummary:
-    rules_name: str
-    max_len: int
-    reports: tuple
-    unresolvable: tuple = field(init=False)
+class ConfluenceSummary(namedtuple("ConfluenceSummary", "rules_name max_len reports unresolvable")):
+    """The ambiguity reports up to ``max_len``; ``unresolvable``, the
+    reports without a unique normal form, is computed on construction."""
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "unresolvable", tuple(r for r in self.reports if not r.resolvable)
-        )
+    __slots__ = ()
+
+    def __new__(cls, rules_name: str, max_len: int, reports: tuple):
+        unresolvable = tuple(r for r in reports if not r.resolvable)
+        return super().__new__(cls, rules_name, max_len, reports, unresolvable)
+
+    def __getnewargs__(self):
+        return self[:3]
 
     @property
     def confluent_up_to_length(self) -> bool:

@@ -56,7 +56,7 @@ verification tolerances rely on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
 from typing import TYPE_CHECKING
@@ -81,17 +81,16 @@ def _check_dim(N: int) -> None:
         raise ValueError(f"dimension {N} exceeds MAX_DIM = {MAX_DIM}")
 
 
-@dataclass(frozen=True)
-class NumericQ:
+class NumericQ(namedtuple("NumericQ", "value")):
     """An exact rational deformation parameter, constrained to (0, 1)."""
 
-    value: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
-        if not 0 < self.value < 1:
-            raise ValueError(f"q must lie strictly between 0 and 1, got {self.value}")
+    def __new__(cls, value):
+        value = Fraction(value)
+        if not 0 < value < 1:
+            raise ValueError(f"q must lie strictly between 0 and 1, got {value}")
+        return super().__new__(cls, value)
 
     @classmethod
     def coerce(cls, value) -> "NumericQ":
@@ -119,13 +118,11 @@ def _qintegers(q0: Fraction, lo: int):
         den *= v
 
 
-@dataclass(frozen=True)
-class WeightSequence:
+class WeightSequence(namedtuple("WeightSequence", "q0 values")):
     """Shift weights alpha_n = sqrt({n+1}_q) for n < N; strictly increasing
     and bounded above by (1-q)^(-1/2)."""
 
-    q0: NumericQ
-    values: tuple
+    __slots__ = ()
 
 
 def weights(q0, N: int) -> WeightSequence:
@@ -192,14 +189,16 @@ def apply_numeric(x: Element, n: int, q0) -> dict:
     return next(_columns(x, q0.value, n, n + 1))
 
 
-@dataclass(frozen=True, eq=False)
 class TruncatedMatrix:
     """Dense N x N truncation; column j is the action on v_j projected to
-    indices below N."""
+    indices below N.  Equal only to itself."""
 
-    dim: int
-    q0: NumericQ
-    data: np.ndarray
+    __slots__ = ("dim", "q0", "data")
+
+    def __init__(self, dim: int, q0: NumericQ, data: np.ndarray):
+        self.dim = dim
+        self.q0 = q0
+        self.data = data
 
     def max_abs(self) -> float:
         import numpy as np
@@ -222,7 +221,7 @@ def matrix(x: Element, q0, N: int) -> TruncatedMatrix:
     return TruncatedMatrix(dim=N, q0=q0, data=data)
 
 
-class NonConvergenceError(RuntimeError):
+class NonConvergenceError(ArithmeticError):
     """Power iteration failed to settle within its iteration budget."""
 
     def __init__(self, iterations: int, estimate: float, last_increment: float):
@@ -238,6 +237,13 @@ class NonConvergenceError(RuntimeError):
 def _power_iteration_norm(data: np.ndarray, tol: float, max_iter: int) -> float:
     import numpy as np
 
+    # the iteration runs on data / 2^e, 2^e just above the largest entry, so
+    # that the Gram matrix of large entries cannot overflow; scaling by a
+    # power of two is exact, and tol is scaled with it, so the steps and the
+    # answer are those of the unscaled iteration wherever that one is finite
+    e = math.frexp(float(np.max(np.abs(data))))[1]
+    data = np.ldexp(data, -e)
+    tol = math.ldexp(tol, -e)
     gram = data.T @ data
     n = gram.shape[0]
     v = np.ones(n) / math.sqrt(n)
@@ -251,13 +257,13 @@ def _power_iteration_norm(data: np.ndarray, tol: float, max_iter: int) -> float:
         if prev is not None:
             increment = abs(sigma - prev)
             if increment < tol:
-                return sigma
+                return math.ldexp(sigma, e)
         prev = sigma
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
             return 0.0
         v = w / norm_w
-    raise NonConvergenceError(max_iter, sigma, increment)
+    raise NonConvergenceError(max_iter, math.ldexp(sigma, e), math.ldexp(increment, e))
 
 
 def op_norm(
@@ -324,16 +330,11 @@ def lower_index_est(q0, kmax: int, N: int):
     return _window_means(q0, kmax, N, "min")
 
 
-@dataclass(frozen=True)
-class CoherentWitness:
+class CoherentWitness(namedtuple("CoherentWitness", "eigenvalue entries residual radius outside_disk")):
     """A numeric eigenvector candidate for the lowering operator A with
     eigenvalue c, plus its truncation residual."""
 
-    eigenvalue: complex
-    entries: dict
-    residual: float
-    radius: float
-    outside_disk: bool
+    __slots__ = ()
 
 
 def coherent_vector(c, q0, N: int) -> CoherentWitness:
@@ -374,20 +375,18 @@ def coherent_vector(c, q0, N: int) -> CoherentWitness:
     )
 
 
-@dataclass(frozen=True)
-class SpectrumFacts:
-    """Exact spectral descriptors for a generator or a diagonal power."""
+class SpectrumFacts(
+    namedtuple(
+        "SpectrumFacts",
+        "operator k radius_sq point_spectrum approx_point_spectrum compression_spectrum "
+        "eigenvalue_formula eigenspace radius_numeric eigenvalues",
+        defaults=(None, None, None, None),
+    )
+):
+    """Exact spectral descriptors for a generator or a diagonal power; the
+    last four fields default to None."""
 
-    operator: str
-    k: int
-    radius_sq: RatFun
-    point_spectrum: str
-    approx_point_spectrum: str
-    compression_spectrum: str
-    eigenvalue_formula: str | None = None
-    eigenspace: str | None = None
-    radius_numeric: float | None = None
-    eigenvalues: tuple | None = None
+    __slots__ = ()
 
 
 def spectrum_facts(op: str, k: int = 1, q0=None) -> SpectrumFacts:
@@ -443,15 +442,12 @@ def spectrum_facts(op: str, k: int = 1, q0=None) -> SpectrumFacts:
     raise ValueError(f"unknown operator tag {op!r} (expected 'A', 'B', or 'C')")
 
 
-@dataclass(frozen=True)
-class DecayReport:
+class DecayReport(namedtuple("DecayReport", "q0 tail verdict")):
     """Column-norm tail of an element: a decaying tail is consistent with
     compactness, a tail bounded away from zero witnesses the opposite.  The
     authoritative compactness answer is the symbolic one."""
 
-    q0: NumericQ
-    tail: tuple
-    verdict: str
+    __slots__ = ()
 
 
 def compact_decay_report(x: Element, q0, N: int) -> DecayReport:

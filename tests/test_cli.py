@@ -114,6 +114,36 @@ def test_domain_errors_exit_1(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        # non-convergence: shift powers defeat the power iteration
+        (
+            ["norm", "B^2", "--q", "1/2", "--dim", "200", "--method", "power"],
+            "error: power iteration did not converge after 10000 iterations "
+            "(estimate 1.9999996053502735, last increment 3.916e-11)\n",
+        ),
+        (["apply", "1/(1-2*q)*B", "--n", "1", "--q", "1/2"], "error: pole of (-1/2)/(-1/2 + q) at q = 1/2\n"),
+        (["normalize", "B*C*A", "--rules", "printed"], "error: reduction produced irreducible non-basis words: BCA\n"),
+        (["norm", "B", "--q", "1/2", "--dim", str(MAX_DIM + 1)], f"error: dimension {MAX_DIM + 1} exceeds MAX_DIM = {MAX_DIM}\n"),
+    ],
+    ids=["non-convergence", "pole", "stuck-word", "max-dim"],
+)
+def test_domain_error_classes_exit_1(argv, err, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", err)
+
+
+def test_runtime_errors_are_not_domain_errors(monkeypatch):
+    # a RecursionError is a RuntimeError; it must not turn into an exit 1
+    def recurse(text):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(expr, "evaluate", recurse)
+    with pytest.raises(RecursionError):
+        main(["bracket", "A", "B"])
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["norm", "B", "--q", "1/2"])  # missing --dim
@@ -321,10 +351,37 @@ def run_child(*args) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
 
 
+#: modules start-up must not load: numpy and what the CLI imports lazily,
+#: and `dataclasses` with the modules it pulls in
+NOT_AT_STARTUP = ("numpy", "dataclasses", "inspect", "json", "qheis.lie", "qheis.spectral")
+
+#: runs each command line of argv[1] (JSON) under qheis.cli.main, text mode,
+#: and prints which of the lie and spectral layers got loaded
+CHILD_LOADED_LAYERS = """
+import contextlib, io, json, sys
+from qheis.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print([name for name in ("qheis.lie", "qheis.spectral") if name in sys.modules])
+"""
+
+
 def test_importing_the_cli_does_not_load_numpy():
     child = run_child("-c", "import sys, qheis, qheis.cli; print('numpy' in sys.modules)")
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "False"
+
+    code = f"import sys, qheis, qheis.cli; print([m for m in {NOT_AT_STARTUP!r} if m in sys.modules])"
+    child = run_child("-c", code)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
+
+    # the symbolic commands run on algebra and expr alone
+    symbolic = [["normalize", "A*B - q*B*A"], ["bracket", "A", "B"], ["adjoint", "C*A"]]
+    child = run_child("-c", CHILD_LOADED_LAYERS, json.dumps(symbolic))
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
 
 
 def test_numpy_free_commands_run_without_numpy(capsys):

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -337,6 +338,22 @@ def test_op_norm_power_method():
         op_norm(B, HALF, 200, method="power")
     assert err.value.iterations == 10000
     assert abs(err.value.estimate - SQRT2) < 1e-5
+
+
+def test_power_method_on_entries_whose_squares_overflow():
+    # entries near 2^600 square past the float range, so the iteration runs
+    # on the truncation scaled by a power of two, with no numpy warning
+    big = (RF_ONE / RF_ONE_MINUS_Q) ** 600
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, N in ((B, 10), (element_power(C, 3), 40), (B + C, 40)):
+            x = x.scale(big)
+            assert op_norm(x, HALF, N, method="power") == pytest.approx(op_norm(x, HALF, N), rel=1e-12)
+        # the clustered shift spectrum still exhausts the budget, with a
+        # finite estimate
+        with pytest.raises(NonConvergenceError) as err:
+            op_norm(B.scale(big), HALF, 40, method="power")
+    assert err.value.estimate == pytest.approx(op_norm(B.scale(big), HALF, 40), rel=1e-5)
 
 
 def test_op_norm_zero_and_validation():
