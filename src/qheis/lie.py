@@ -152,11 +152,16 @@ def verify_fredholm_relations():
     return left, right
 
 
+def _gamma_of_chain(k: int, t: Element) -> Element:
+    """gamma(k) from t = (ad C)^(k+1) A."""
+    return bracket(B, t).scale((-1) ** k)
+
+
 def gamma(k: int) -> Element:
     """The nested commutator (ad B)((-ad C)^k([C, A])), computed literally."""
     if k < 0:
         raise ValueError("gamma index must be nonnegative")
-    return bracket(B, ad_power(C, k + 1, A)).scale((-1) ** k)
+    return _gamma_of_chain(k, ad_power(C, k + 1, A))
 
 
 def build_ck_al_via_ad(k: int, l: int) -> Element:
@@ -195,11 +200,14 @@ def gamma_closed_form_rhs(k: int) -> Element:
 
 def gamma_sum_rhs(k: int) -> Element:
     """(q^k / {k+1}_q) * sum_{i=0..k} (q-1)^(-(i+1)) gamma(i), which is
-    claimed to rebuild C^(k+2) from the engine-computed gamma values."""
+    claimed to rebuild C^(k+2) from the engine-computed gamma values; one
+    chain t = (ad C)^(i+1) A, stepped once per i, serves every gamma(i)."""
     q = RatFun.q_power(1)
     total = Element.zero()
+    t = A
     for i in range(k + 1):
-        total = total + gamma(i).scale(((q - RF_ONE) ** (i + 1)).inverse())
+        t = bracket(C, t)
+        total = total + _gamma_of_chain(i, t).scale(((q - RF_ONE) ** (i + 1)).inverse())
     return total.scale(RatFun.q_power(k) / qbracket(k + 1))
 
 

@@ -37,20 +37,28 @@ equals (1-q)^(-1/2) * prod_{i<k} (1-q^(i+1))^(1/2k), so its error decays
 like O(1/k).  That slow rate is inherent to the formula, not a defect; the
 matching tolerance at k = 500 is one percent.
 
-The operator-norm default is exact.  Canonical words have min(b, a) = 0, so
-distinct (b, a) have distinct offsets b - a, and an element whose terms all
-share one (b, a) is one band, with at most one nonzero in each row and
-column of the truncation.  The singular values of such a matrix are the
-absolute values of its entries, so its norm is the largest of them (the
-sup-of-weights norm of a weighted shift, Shields 1974): correctly rounded,
-and read off the band fill without a dense array, numpy or an O(N^3)
-decomposition.  Every other element takes the LAPACK singular value
-decomposition of the dense truncation.  A deterministic power iteration on
-the Gram matrix is available as an opt-in method, but the top of the
-truncated shift spectrum is exponentially clustered ({n}_q -> 1/(1-q)
-geometrically), which stalls the Rayleigh quotient around 5e-8 relative
-error no matter the iteration budget; the exact route is what the
-verification tolerances rely on.
+The operator-norm default is exact, and rests on one principle: the
+truncation is the direct sum of the components of its band graph, which
+joins column j to row j + s for every offset s = b - a of a term.
+Canonical words have min(b, a) = 0, so distinct (b, a) have distinct
+offsets.  With s0 the least offset and g the gcd of the differences
+s - s0, column j meets only rows congruent to j + s0 mod g, so the columns
+of each residue class r mod g and the rows of class r + s0 hold whole
+components, and the norm is the largest of the norms of these g blocks.
+Several bands take one LAPACK singular value decomposition per nonempty
+block, about N^3/g^2 work in all; for g = 1 the one block is the whole
+truncation.  One band is the limiting case where every component is one
+entry: the singular values are the absolute entries, so the norm is the
+largest of them (the sup-of-weights norm of a weighted shift, Shields
+1974), correctly rounded and read off the band fill without a dense array,
+numpy or an O(N^3) decomposition.  A deterministic power iteration on the
+Gram matrix of the whole truncation is available as an opt-in method.  It
+stops when one step moves the estimate by less than an absolute
+tolerance, so it can return a value that is off by far more than that:
+the top of the truncated shift spectrum is exponentially clustered
+({n}_q -> 1/(1-q) geometrically), which stalls the Rayleigh quotient, and
+a small element takes small steps from the start.  The exact route is what
+the verification tolerances rely on.
 """
 
 from __future__ import annotations
@@ -277,28 +285,35 @@ def op_norm(
     """Largest singular value of the truncated matrix of x.
 
     ``method="svd"`` (default) is exact and deterministic: the largest
-    absolute entry when x is one band, else the LAPACK SVD.  ``"power"``
-    runs all-ones-seeded power iteration on the Gram matrix and raises
+    absolute entry when x is one band, else the largest LAPACK SVD of the
+    residue-class blocks of the truncation.  ``"power"`` runs
+    all-ones-seeded power iteration on the Gram matrix and raises
     :class:`NonConvergenceError` when the estimate increments do not drop
     below ``tol`` within ``max_iter`` steps; see the module notes for why
-    shift powers defeat it.
+    shift powers defeat it and small elements pass it too early.
     """
+    if method not in ("svd", "power"):
+        raise ValueError(f"unknown method {method!r} (expected 'svd' or 'power')")
     if N < 2:
         raise ValueError("norm estimation needs dimension at least 2")
-    if method == "svd" and len({(bw.b, bw.a) for bw in x.terms}) <= 1:
+    offsets = {bw.b - bw.a for bw in x.terms}
+    if method == "svd" and len(offsets) <= 1:
         # one band: at most one nonzero in each row and column
         _check_dim(N)
         q0 = NumericQ.coerce(q0)
         cols = _columns(x, q0.value, 0, N)
         return max((abs(v) for col in cols for i, v in col.items() if i < N), default=0.0)
-    m = matrix(x, q0, N)
-    if method == "svd":
-        import numpy as np
-
-        return float(np.linalg.svd(m.data, compute_uv=False)[0])
+    data = matrix(x, q0, N).data
     if method == "power":
-        return _power_iteration_norm(m.data, tol, max_iter)
-    raise ValueError(f"unknown method {method!r} (expected 'svd' or 'power')")
+        return _power_iteration_norm(data, tol, max_iter)
+    import numpy as np
+
+    # column j has nonzeros only in rows j + s with s = s0 (mod g), so the
+    # residue classes r of the columns split the truncation into blocks
+    s0 = min(offsets)
+    g = math.gcd(*(s - s0 for s in offsets))
+    blocks = (data[(r + s0) % g :: g, r::g] for r in range(min(g, N)))
+    return max((float(np.linalg.svd(blk, compute_uv=False)[0]) for blk in blocks if blk.size), default=0.0)
 
 
 def _window_means(q0, kmax: int, N: int, pick: str) -> list:

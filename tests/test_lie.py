@@ -29,6 +29,7 @@ from qheis.lie import (
     decompose,
     gamma,
     gamma_closed_form_rhs,
+    gamma_sum_rhs,
     is_compact,
     is_lie_polynomial,
     lie_surrogate,
@@ -36,7 +37,7 @@ from qheis.lie import (
     verify_fredholm_relations,
     verify_identity_suite,
 )
-from qheis.ratfun import RF_ONE_MINUS_Q, RF_Q, RatFun
+from qheis.ratfun import RF_ONE_MINUS_Q, RF_Q, RatFun, qbracket
 
 ONE = RatFun.one()
 INV = ONE / RF_ONE_MINUS_Q
@@ -198,6 +199,19 @@ def test_gamma_vs_closed_form_disagrees_beyond_vacuum():
     assert diag(g0, 0) == diag(rhs, 0) == Fraction(-1, 2)
     assert diag(g0, 1) == Fraction(1, 8)
     assert diag(rhs, 1) == Fraction(-1, 8)
+
+
+def test_gamma_sum_equals_the_literal_sum_of_gammas():
+    # one stepped chain gives the same element, term for term and in the
+    # same order, as summing the separately computed gamma(i)
+    for k in range(12):
+        total = Element.zero()
+        for i in range(k + 1):
+            total = total + gamma(i).scale(((RF_Q - ONE) ** (i + 1)).inverse())
+        want = total.scale(RatFun.q_power(k) / qbracket(k + 1))
+        got = gamma_sum_rhs(k)
+        assert got == want, k
+        assert list(got.terms.items()) == list(want.terms.items()), k
 
 
 def test_builds_produce_monomials():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import basis_words_up_to, random_element
-from qheis import expr
+from qheis import expr, spectral
 from qheis.algebra import A, B, BasisWord, C, Element, I, element_power, multiply, normalize
 from qheis.lie import apply_symbolic
 from qheis.ratfun import RF_ONE, RF_ONE_MINUS_Q, RF_Q, PoleError, RatFun, qbracket_value
@@ -322,12 +322,98 @@ def test_op_norm_of_one_band_is_its_largest_entry(q):
         assert abs(got - svd) <= 2 * np.spacing(svd), (str(x), N, got, svd)
 
 
+#: g = 1: one residue-class block, the whole truncation
+ONE_BLOCK = ("C+B", "A+B+C", "A+B^2+C")
+#: g = 2, 3, 3, 4, 6, 5
+SEVERAL_BLOCKS = ("A+B", "A*A+B", "C+B^3", "A^2+B^2", "A^3+B^3", "C+B^5")
+#: largest gap, in units in the last place, between the largest block SVD
+#: and the SVD of the whole truncation: both are backward stable, and the
+#: worst gap seen over 300 seeded random elements was 7
+BLOCK_ULPS = 16
+
+
+def _blocks(x, N):
+    """Row and column index lists of the nonempty residue-class blocks of
+    the truncation of x, derived from its band offsets b - a: column j
+    meets only rows j + s, and every s is s0 mod g."""
+    offsets = {bw.b - bw.a for bw in x.terms}
+    s0 = min(offsets)
+    g = math.gcd(*(s - s0 for s in offsets))
+    for r in range(g):
+        cols = [j for j in range(N) if j % g == r]
+        rows = [i for i in range(N) if (i - s0 - r) % g == 0]
+        if rows and cols:
+            yield rows, cols
+
+
+def _block_norm(x, q, N):
+    data = matrix(x, q, N).data
+    outside = data.copy()
+    for rows, cols in _blocks(x, N):
+        outside[np.ix_(rows, cols)] = 0.0
+    assert not outside.any(), "an entry lies outside every block"
+    norms = (np.linalg.svd(data[np.ix_(rows, cols)], compute_uv=False)[0] for rows, cols in _blocks(x, N))
+    return max((float(s) for s in norms), default=0.0)
+
+
+def _assert_block_norm(x, q, N):
+    got = op_norm(x, q, N)
+    assert got == _block_norm(x, q, N), (str(x), N)
+    svd = _svd_norm(x, q, N)
+    assert abs(got - svd) <= BLOCK_ULPS * np.spacing(svd), (str(x), N, got, svd)
+
+
 @pytest.mark.parametrize("q", ORACLE_QS + (NEAR_ONE,), ids=str)
 def test_op_norm_of_several_bands_is_the_svd(q):
-    for text in ("A+B", "C+B", "A*A+B"):
+    # offsets with gcd 1 leave one block, the whole truncation
+    for text in ONE_BLOCK:
         x = expr.evaluate(text)
         for N in (2, 17, 160):
             assert op_norm(x, q, N) == _svd_norm(x, q, N), (text, N)
+
+
+@pytest.mark.parametrize("q", ORACLE_QS + (NEAR_ONE,), ids=str)
+def test_op_norm_of_several_bands_is_the_largest_block_svd(q):
+    # N = 17 is a multiple of none of the g
+    for text in SEVERAL_BLOCKS:
+        x = expr.evaluate(text)
+        for N in (2, 3, 17, 160):
+            _assert_block_norm(x, q, N)
+
+
+@pytest.mark.parametrize("q", ORACLE_QS + (NEAR_ONE,), ids=str)
+def test_block_norm_of_random_elements(q):
+    rng = random.Random(q.numerator + q.denominator)
+    for _ in range(40):
+        x = random_element(rng)
+        if len({bw.b - bw.a for bw in x.terms}) > 1:
+            _assert_block_norm(x, q, rng.randint(2, 120))
+
+
+def test_block_norm_edge_cases():
+    # g = 6 and N = 2: every block is empty, as is the truncation
+    assert op_norm(expr.evaluate("A^3+B^3"), HALF, 2) == 0.0
+    # g = 5 and N = 3: three 1 x 1 blocks, the diagonal of C
+    assert op_norm(expr.evaluate("C+B^5"), HALF, 3) == 1.0
+
+
+def test_block_norm_takes_one_svd_per_block(monkeypatch):
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    op_norm(A + B, HALF, 160)
+    assert shapes == [(80, 80), (80, 80)]
+    shapes.clear()
+    op_norm(C + B, HALF, 160)
+    assert shapes == [(160, 160)]
+    shapes.clear()
+    op_norm(B, HALF, 160)
+    assert shapes == []
 
 
 def test_op_norm_power_method():
@@ -365,6 +451,16 @@ def test_op_norm_zero_and_validation():
             op_norm(x, HALF, MAX_DIM + 1)
     with pytest.raises(ValueError):
         op_norm(B, HALF, 10, method="qr")
+
+
+def test_unknown_method_is_refused_before_the_matrix(monkeypatch):
+    def no_matrix(*args):
+        raise AssertionError("matrix was built")
+
+    monkeypatch.setattr(spectral, "matrix", no_matrix)
+    for N in (2000, MAX_DIM + 1, 1):
+        with pytest.raises(ValueError, match="unknown method 'qr'"):
+            op_norm(A + B, HALF, N, method="qr")
 
 
 def test_spectral_radius_estimates():
