@@ -177,18 +177,17 @@ def normalize(x, rules: RuleSet = COMPLETED) -> Element:
 def multiply(x: Element, y: Element, rules: RuleSet = COMPLETED) -> Element:
     """Product in the algebra.  Under the completed rules each pair of
     monomials multiplies in closed form (:func:`monomial_product`, memoized
-    on the rule set); any other rule set concatenates words termwise and
-    reduces them, so the printed rules still report stuck words."""
+    on the rule set); any other rule set normalizes the sum of the
+    concatenated word pairs, so the printed rules still report stuck words."""
     if rules.rules is not COMPLETED.rules:
-        acc = FreeElement.collect(
-            item
-            for bx, cx in x.terms.items()
-            for by, cy in y.terms.items()
-            for item in normalize_free(
-                FreeElement.of_word(bx.word() + by.word(), cx * cy), rules
-            ).terms.items()
+        return normalize(
+            FreeElement.collect(
+                (bx.word() + by.word(), cx * cy)
+                for bx, cx in x.terms.items()
+                for by, cy in y.terms.items()
+            ),
+            rules,
         )
-        return _free_to_element(acc)
     memo = rules._product_memo
 
     def pairs():

@@ -2,8 +2,9 @@
 and drive the numeric lab, with text or schema-conforming JSON output.
 
 Exit codes: 0 on success; 1 on domain errors (poles, bad q, stuck words,
-non-convergence, sizes over a documented limit, float overflow); 2 on
-syntax errors, reported with a 1-based column.
+sizes over a documented limit, float overflow); 2 on syntax errors,
+reported with a 1-based column, and on usage errors such as an unknown
+option.
 Results go to stdout, diagnostics to stderr.
 """
 
@@ -252,13 +253,8 @@ def _cmd_norm(args):
     from . import spectral
 
     q0 = _parse_q(args.q)
-    value = spectral.op_norm(expr.evaluate(args.expr), q0, args.dim, method=args.method)
-    payload = {
-        "value": _finite(value),
-        "q": str(q0.value),
-        "dim": args.dim,
-        "method": args.method,
-    }
+    value = spectral.op_norm(expr.evaluate(args.expr), q0, args.dim)
+    payload = {"value": _finite(value), "q": str(q0.value), "dim": args.dim}
     return payload, [repr(value)]
 
 
@@ -386,7 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.add_argument("--q", required=True)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--method", choices=("svd", "power"), default="svd")
 
     p = add("radius", _cmd_estimate, help="spectral radius estimates from weight windows")
     p.add_argument("--q", required=True)
@@ -424,9 +419,9 @@ def main(argv=None) -> int:
     except expr.ParseError as e:
         print(f"syntax error: {e}", file=sys.stderr)
         return 2
-    # domain errors are ArithmeticErrors (poles, zero divisors, overflow,
-    # non-convergence) or ValueErrors (stuck words, bad q, sizes over a
-    # limit); a RuntimeError, such as RecursionError, is not one
+    # domain errors are ArithmeticErrors (poles, zero divisors, overflow)
+    # or ValueErrors (stuck words, bad q, sizes over a limit); a
+    # RuntimeError, such as RecursionError, is not one
     except (ArithmeticError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

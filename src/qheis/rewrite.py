@@ -189,23 +189,18 @@ class RuleSet:
             return cls.completed()
         raise ValueError(f"unknown rule set {name!r} (expected printed or completed)")
 
-    def leftmost_redex(self, w: Word):
-        """(position, rule, length, replacement) of the leftmost match, or None."""
+    def redexes(self, w: Word):
+        """Yield (position, rule, length, replacement) for every match in
+        w, leftmost first and in rule order at each position."""
         for i in range(len(w)):
             for rule in self.rules:
                 m = rule.match(w, i)
                 if m is not None:
-                    return i, rule, m[0], m[1]
-        return None
+                    yield i, rule, m[0], m[1]
 
-    def all_redexes(self, w: Word):
-        out = []
-        for i in range(len(w)):
-            for rule in self.rules:
-                m = rule.match(w, i)
-                if m is not None:
-                    out.append((i, rule, m[0], m[1]))
-        return out
+    def leftmost_redex(self, w: Word):
+        """The first of :meth:`redexes`, or None."""
+        return next(self.redexes(w), None)
 
     def is_irreducible_word(self, w: Word) -> bool:
         return self.leftmost_redex(w) is None
@@ -266,7 +261,7 @@ def reachable_normal_forms(start: FreeElement, rules: RuleSet):
         for fe in frontier:
             moves = []
             for w, c in fe.terms.items():
-                for i, _rule, length, repl in rules.all_redexes(w):
+                for i, _rule, length, repl in rules.redexes(w):
                     delta = _splice(w, i, length, repl).scale(c) - FreeElement.of_word(w, c)
                     moves.append(fe + delta)
             if not moves:

@@ -284,13 +284,12 @@ OUTPUT_SCHEMA = {
         },
         "norm_result": {
             "type": "object",
-            "required": ["value", "q", "dim", "method"],
+            "required": ["value", "q", "dim"],
             "additionalProperties": False,
             "properties": {
                 "value": {"type": "number"},
                 "q": {"type": "string"},
                 "dim": {"type": "integer", "minimum": 2},
-                "method": {"enum": ["svd", "power"]},
             },
         },
         "estimates_result": {

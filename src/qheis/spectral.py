@@ -51,14 +51,10 @@ truncation.  One band is the limiting case where every component is one
 entry: the singular values are the absolute entries, so the norm is the
 largest of them (the sup-of-weights norm of a weighted shift, Shields
 1974), correctly rounded and read off the band fill without a dense array,
-numpy or an O(N^3) decomposition.  A deterministic power iteration on the
-Gram matrix of the whole truncation is available as an opt-in method.  It
-stops when one step moves the estimate by less than an absolute
-tolerance, so it can return a value that is off by far more than that:
-the top of the truncated shift spectrum is exponentially clustered
-({n}_q -> 1/(1-q) geometrically), which stalls the Rayleigh quotient, and
-a small element takes small steps from the start.  The exact route is what
-the verification tolerances rely on.
+numpy or an O(N^3) decomposition.  There is no iterative estimate: the top
+of the truncated shift spectrum is exponentially clustered ({n}_q -> 1/(1-q)
+geometrically), which stalls a Rayleigh quotient, and both exact routes are
+what the verification tolerances rely on.
 """
 
 from __future__ import annotations
@@ -229,83 +225,20 @@ def matrix(x: Element, q0, N: int) -> TruncatedMatrix:
     return TruncatedMatrix(dim=N, q0=q0, data=data)
 
 
-class NonConvergenceError(ArithmeticError):
-    """Power iteration failed to settle within its iteration budget."""
-
-    def __init__(self, iterations: int, estimate: float, last_increment: float):
-        self.iterations = iterations
-        self.estimate = estimate
-        self.last_increment = last_increment
-        super().__init__(
-            f"power iteration did not converge after {iterations} iterations "
-            f"(estimate {estimate!r}, last increment {last_increment:.3e})"
-        )
-
-
-def _power_iteration_norm(data: np.ndarray, tol: float, max_iter: int) -> float:
-    import numpy as np
-
-    # the iteration runs on data / 2^e, 2^e just above the largest entry, so
-    # that the Gram matrix of large entries cannot overflow; scaling by a
-    # power of two is exact, and tol is scaled with it, so the steps and the
-    # answer are those of the unscaled iteration wherever that one is finite
-    e = math.frexp(float(np.max(np.abs(data))))[1]
-    data = np.ldexp(data, -e)
-    tol = math.ldexp(tol, -e)
-    gram = data.T @ data
-    n = gram.shape[0]
-    v = np.ones(n) / math.sqrt(n)
-    prev = None
-    increment = math.inf
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = gram @ v
-        lam = float(v @ w)
-        sigma = math.sqrt(max(lam, 0.0))
-        if prev is not None:
-            increment = abs(sigma - prev)
-            if increment < tol:
-                return math.ldexp(sigma, e)
-        prev = sigma
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-    raise NonConvergenceError(max_iter, math.ldexp(sigma, e), math.ldexp(increment, e))
-
-
-def op_norm(
-    x: Element,
-    q0,
-    N: int,
-    method: str = "svd",
-    tol: float = 1e-12,
-    max_iter: int = 10000,
-) -> float:
-    """Largest singular value of the truncated matrix of x.
-
-    ``method="svd"`` (default) is exact and deterministic: the largest
-    absolute entry when x is one band, else the largest LAPACK SVD of the
-    residue-class blocks of the truncation.  ``"power"`` runs
-    all-ones-seeded power iteration on the Gram matrix and raises
-    :class:`NonConvergenceError` when the estimate increments do not drop
-    below ``tol`` within ``max_iter`` steps; see the module notes for why
-    shift powers defeat it and small elements pass it too early.
-    """
-    if method not in ("svd", "power"):
-        raise ValueError(f"unknown method {method!r} (expected 'svd' or 'power')")
+def op_norm(x: Element, q0, N: int) -> float:
+    """Largest singular value of the truncated matrix of x, exactly: the
+    largest absolute entry when x is one band, else the largest LAPACK SVD
+    of the residue-class blocks of the truncation (see the module notes)."""
     if N < 2:
         raise ValueError("norm estimation needs dimension at least 2")
     offsets = {bw.b - bw.a for bw in x.terms}
-    if method == "svd" and len(offsets) <= 1:
+    if len(offsets) <= 1:
         # one band: at most one nonzero in each row and column
         _check_dim(N)
         q0 = NumericQ.coerce(q0)
         cols = _columns(x, q0.value, 0, N)
         return max((abs(v) for col in cols for i, v in col.items() if i < N), default=0.0)
     data = matrix(x, q0, N).data
-    if method == "power":
-        return _power_iteration_norm(data, tol, max_iter)
     import numpy as np
 
     # column j has nonzeros only in rows j + s with s = s0 (mod g), so the
@@ -364,6 +297,8 @@ def coherent_vector(c, q0, N: int) -> CoherentWitness:
         raise ValueError("need dimension at least 2")
     q0 = NumericQ.coerce(q0)
     c = complex(c)
+    if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+        raise ValueError(f"eigenvalue must be finite, got {c}")
     alphas = weights(q0, N).values
     radius = 1.0 / math.sqrt(1.0 - float(q0))
     v = [0j] * N
@@ -410,7 +345,10 @@ def spectrum_facts(op: str, k: int = 1, q0=None) -> SpectrumFacts:
     and the open disk as compression spectrum; A has the open disk as point
     spectrum, the closed disk as approximate point spectrum, and empty
     compression spectrum; C^k has eigenvalues q^(kn) with one-dimensional
-    eigenspaces and their closure as full spectrum."""
+    eigenspaces and their closure as full spectrum.  Only C takes a power
+    k; A or B with k != 1 raises ``ValueError``."""
+    if op in ("A", "B") and k != 1:
+        raise ValueError(f"operator {op} takes no power: k must be 1, got {k}")
     radius_sq = RF_ONE / RF_ONE_MINUS_Q
     numeric = None
     if q0 is not None:

@@ -38,7 +38,7 @@ COMMANDS = [
     ["spectrum", "--op", "C", "--k", "2", "--q", "1/2"],
     ["norm", "B", "--q", "1/2", "--dim", "60"],
     ["norm", "A+B", "--q", "1/2", "--dim", "60"],
-    ["norm", "C^3", "--q", "1/2", "--dim", "40", "--method", "power"],
+    ["norm", "C^3", "--q", "1/2", "--dim", "40"],
     ["radius", "--q", "1/2", "--kmax", "10", "--dim", "80"],
     ["lower-index", "--q", "1/2", "--kmax", "10", "--dim", "80"],
     ["coherent", "--c", "0.7", "--q", "1/2", "--dim", "120"],
@@ -101,12 +101,6 @@ def test_domain_errors_exit_1(capsys):
     assert code == 1
     assert "between 0 and 1" in captured.err
 
-    # non-convergent power iteration refuses to answer
-    code = main(["norm", "B", "--q", "1/2", "--dim", "200", "--method", "power"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "did not converge" in captured.err
-
     # division by a zero scalar
     code = main(["normalize", "1/(q - q)"])
     captured = capsys.readouterr()
@@ -117,17 +111,18 @@ def test_domain_errors_exit_1(capsys):
 @pytest.mark.parametrize(
     "argv, err",
     [
-        # non-convergence: shift powers defeat the power iteration
-        (
-            ["norm", "B^2", "--q", "1/2", "--dim", "200", "--method", "power"],
-            "error: power iteration did not converge after 10000 iterations "
-            "(estimate 1.9999996053502735, last increment 3.916e-11)\n",
-        ),
         (["apply", "1/(1-2*q)*B", "--n", "1", "--q", "1/2"], "error: pole of (-1/2)/(-1/2 + q) at q = 1/2\n"),
         (["normalize", "B*C*A", "--rules", "printed"], "error: reduction produced irreducible non-basis words: BCA\n"),
         (["norm", "B", "--q", "1/2", "--dim", str(MAX_DIM + 1)], f"error: dimension {MAX_DIM + 1} exceeds MAX_DIM = {MAX_DIM}\n"),
+        # only C takes a power; k is not dropped for A or B
+        (["spectrum", "--op", "B", "--k", "3"], "error: operator B takes no power: k must be 1, got 3\n"),
+        (["spectrum", "--op", "A", "--k", "2", "--json"], "error: operator A takes no power: k must be 1, got 2\n"),
+        # a non-finite eigenvalue is refused before the window is built
+        (["coherent", "--c", "nan", "--q", "1/2", "--dim", "10"], "error: eigenvalue must be finite, got (nan+0j)\n"),
+        (["coherent", "--c", "inf", "--q", "1/2", "--dim", "10"], "error: eigenvalue must be finite, got (inf+0j)\n"),
+        (["coherent", "--c", "1e400", "--q", "1/2", "--dim", "10"], "error: eigenvalue must be finite, got (inf+0j)\n"),
     ],
-    ids=["non-convergence", "pole", "stuck-word", "max-dim"],
+    ids=["pole", "stuck-word", "max-dim", "spectrum-k-B", "spectrum-k-A", "coherent-nan", "coherent-inf", "coherent-1e400"],
 )
 def test_domain_error_classes_exit_1(argv, err, capsys):
     assert main(argv) == 1
@@ -148,6 +143,16 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["norm", "B", "--q", "1/2"])  # missing --dim
     assert err.value.code == 2
+
+
+def test_norm_has_no_method_option(capsys):
+    # the truncation norm is computed exactly; there is no method to choose
+    with pytest.raises(SystemExit) as err:
+        main(["norm", "B", "--q", "1/2", "--dim", "10", "--method", "svd"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --method svd" in captured.err
 
 
 def test_confluence_json_payload(capsys):
@@ -308,11 +313,9 @@ def test_entries_whose_square_overflows_a_float(capsys):
 
 
 def builds_a_matrix(argv) -> bool:
-    """`norm` of more than one band, or by power iteration, builds the dense
-    matrix; the norm of a single band is its largest entry, read off the
-    band fill.  Canonical words have min(b, a) = 0, so (b, a) names a band."""
-    if "power" in argv:
-        return True
+    """`norm` of more than one band builds the dense matrix; the norm of a
+    single band is its largest entry, read off the band fill.  Canonical
+    words have min(b, a) = 0, so (b, a) names a band."""
     return len({(bw.b, bw.a) for bw in expr.evaluate(argv[1]).terms}) > 1
 
 

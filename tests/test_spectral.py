@@ -4,21 +4,19 @@ import cmath
 import math
 import random
 import time
-import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import basis_words_up_to, random_element
-from qheis import expr, spectral
+from qheis import expr
 from qheis.algebra import A, B, BasisWord, C, Element, I, element_power, multiply, normalize
 from qheis.lie import apply_symbolic
 from qheis.ratfun import RF_ONE, RF_ONE_MINUS_Q, RF_Q, PoleError, RatFun, qbracket_value
 from qheis.spectral import (
     MAX_DIM,
     PURGE_EPS,
-    NonConvergenceError,
     NumericQ,
     _qintegers,
     apply_numeric,
@@ -416,32 +414,6 @@ def test_block_norm_takes_one_svd_per_block(monkeypatch):
     assert shapes == []
 
 
-def test_op_norm_power_method():
-    # separated diagonal spectrum: power iteration converges
-    assert abs(op_norm(element_power(C, 3), HALF, 50, method="power") - 1.0) < 1e-10
-    # clustered shift spectrum: it must refuse rather than return a bad value
-    with pytest.raises(NonConvergenceError) as err:
-        op_norm(B, HALF, 200, method="power")
-    assert err.value.iterations == 10000
-    assert abs(err.value.estimate - SQRT2) < 1e-5
-
-
-def test_power_method_on_entries_whose_squares_overflow():
-    # entries near 2^600 square past the float range, so the iteration runs
-    # on the truncation scaled by a power of two, with no numpy warning
-    big = (RF_ONE / RF_ONE_MINUS_Q) ** 600
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for x, N in ((B, 10), (element_power(C, 3), 40), (B + C, 40)):
-            x = x.scale(big)
-            assert op_norm(x, HALF, N, method="power") == pytest.approx(op_norm(x, HALF, N), rel=1e-12)
-        # the clustered shift spectrum still exhausts the budget, with a
-        # finite estimate
-        with pytest.raises(NonConvergenceError) as err:
-            op_norm(B.scale(big), HALF, 40, method="power")
-    assert err.value.estimate == pytest.approx(op_norm(B.scale(big), HALF, 40), rel=1e-5)
-
-
 def test_op_norm_zero_and_validation():
     assert op_norm(Element.zero(), HALF, 10) == 0.0
     with pytest.raises(ValueError):
@@ -449,18 +421,6 @@ def test_op_norm_zero_and_validation():
     for x in (B, A + B):
         with pytest.raises(ValueError, match="MAX_DIM"):
             op_norm(x, HALF, MAX_DIM + 1)
-    with pytest.raises(ValueError):
-        op_norm(B, HALF, 10, method="qr")
-
-
-def test_unknown_method_is_refused_before_the_matrix(monkeypatch):
-    def no_matrix(*args):
-        raise AssertionError("matrix was built")
-
-    monkeypatch.setattr(spectral, "matrix", no_matrix)
-    for N in (2000, MAX_DIM + 1, 1):
-        with pytest.raises(ValueError, match="unknown method 'qr'"):
-            op_norm(A + B, HALF, N, method="qr")
 
 
 def test_spectral_radius_estimates():
@@ -505,6 +465,12 @@ def test_coherent_outside_disk_flagged():
     assert w.residual > 1e-8
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, complex(0.5, -math.inf), complex(math.nan, 1.0)])
+def test_coherent_vector_refuses_a_non_finite_eigenvalue(c):
+    with pytest.raises(ValueError, match="eigenvalue must be finite"):
+        coherent_vector(c, HALF, 10)
+
+
 def test_spectrum_facts_descriptors():
     b = spectrum_facts("B", q0=HALF)
     assert (b.point_spectrum, b.approx_point_spectrum, b.compression_spectrum) == (
@@ -529,6 +495,12 @@ def test_spectrum_facts_descriptors():
         spectrum_facts("C", k=0)
     with pytest.raises(ValueError):
         spectrum_facts("D")
+    # only C takes a power
+    for op in ("A", "B"):
+        assert spectrum_facts(op, k=1) == spectrum_facts(op)
+        for k in (0, 2, 3):
+            with pytest.raises(ValueError, match=f"operator {op} takes no power"):
+                spectrum_facts(op, k=k)
 
 
 def test_compact_decay_reports():
