@@ -2,6 +2,7 @@
 conformance for every command."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import qheis
 from qheis import expr
 from qheis.cli import main
 from qheis.schemas import OUTPUT_SCHEMA
-from qheis.spectral import MAX_DIM
+from qheis.spectral import MAX_DIM, apply_numeric
 
 # one representative invocation per command
 COMMANDS = [
@@ -310,6 +311,52 @@ def test_entries_whose_square_overflows_a_float(capsys):
     assert 5.86e180 < float(capsys.readouterr().out) < 5.87e180
     assert main(["apply", "(1/(1-q))^600*B", "--n", "2", "--q", "1/2"]) == 0
     assert capsys.readouterr().out.startswith("3: 5.489")
+
+
+def _timed_norm(capsys, argv, bound):
+    start = time.perf_counter()
+    code = main(["norm", *argv])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr()
+    assert code == 0 and out.err == ""
+    assert elapsed < bound, (argv, elapsed)
+    return float(out.out)
+
+
+@pytest.mark.parametrize(
+    "b, q, dim, bound",
+    # a radicand window of 100 and 300 q-integers: the scan over every
+    # column ran 36.7 s on the first, and more than 150 s on the second
+    [(100, "1/2", 2000, 2.0), (300, "99/100", 500, 5.0)],
+    ids=["B^100", "B^300"],
+)
+def test_norm_of_a_high_shift_power_is_its_last_column(capsys, b, q, dim, bound):
+    value = _timed_norm(capsys, [f"B^{b}", "--q", q, "--dim", str(dim)], bound)
+    # the weights of B^b rise with the column, so the last column whose
+    # image stays inside, dim - b - 1, holds the largest entry
+    x = expr.evaluate(f"B^{b}")
+    last, before = (apply_numeric(x, n, q) for n in (dim - b - 1, dim - b - 2))
+    assert value == last[dim - 1]
+    assert before[dim - 2] <= value
+
+
+def test_norm_of_two_wide_bands_within_its_column_bounds(capsys):
+    value = _timed_norm(capsys, ["A^3+B^100", "--q", "1/2", "--dim", "600"], 2.0)
+    # the norm is at least the length of column 499, which holds the largest
+    # entry of B^100, and at most the sum of the two band norms, the largest
+    # entries of B^100 (column 499) and of A^3 (column 599)
+    x = expr.evaluate("A^3+B^100")
+    col = apply_numeric(x, 499, "1/2")
+    assert math.sqrt(col[496] ** 2 + col[599] ** 2) * (1 - 1e-12) <= value
+    assert value <= (col[599] + apply_numeric(x, 599, "1/2")[596]) * (1 + 1e-12)
+
+
+def test_spectrum_of_a_huge_diagonal_power_is_fast(capsys):
+    # q^(kn) rounds to 0.0 past n = 0, which bit lengths show without the power
+    start = time.perf_counter()
+    assert main(["spectrum", "--op", "C", "--k", "10000000", "--q", "1/2", "--json"]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert json.loads(capsys.readouterr().out)["result"]["eigenvalues"] == [1.0] + [0.0] * 19
 
 
 def builds_a_matrix(argv) -> bool:

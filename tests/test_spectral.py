@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import basis_words_up_to, random_element
-from qheis import expr
+from qheis import expr, spectral
 from qheis.algebra import A, B, BasisWord, C, Element, I, element_power, multiply, normalize
 from qheis.lie import apply_symbolic
 from qheis.ratfun import RF_ONE, RF_ONE_MINUS_Q, RF_Q, PoleError, RatFun, qbracket_value
@@ -18,6 +18,7 @@ from qheis.spectral import (
     MAX_DIM,
     PURGE_EPS,
     NumericQ,
+    _columns,
     _qintegers,
     apply_numeric,
     coherent_vector,
@@ -318,6 +319,72 @@ def test_op_norm_of_one_band_is_its_largest_entry(q):
         assert got == matrix(x, q, N).max_abs(), (str(x), N)
         svd = _svd_norm(x, q, N)
         assert abs(got - svd) <= 2 * np.spacing(svd), (str(x), N, got, svd)
+
+
+def _scan_norm(x, q, N):
+    """The largest absolute entry of the truncation of one band, from all N
+    columns of the band fill."""
+    cols = _columns(x, NumericQ.coerce(q).value, 0, N)
+    return max((abs(v) for col in cols for i, v in col.items() if i < N), default=0.0)
+
+
+#: coefficients of one-term bands: signed, fractional, and q-dependent
+PEAK_COEFFS = ("1", "-5/3", "q^40/(1-q)^3")
+
+
+@pytest.mark.parametrize("q", ORACLE_QS + (NEAR_ONE, Fraction(1, 100)), ids=str)
+def test_one_term_norm_is_its_peak_column(q):
+    # the squared entries of B^b C^k A^a are unimodal in the column, so the
+    # peak column alone gives the largest entry of the scan, bit for bit
+    for b, a in [(0, 0)] + [(h, 0) for h in range(1, 9)] + [(0, h) for h in range(1, 9)]:
+        for k in range(6):
+            for coeff in PEAK_COEFFS:
+                x = expr.evaluate(f"({coeff})*B^{b}*C^{k}*A^{a}")
+                for N in {2, a + b, a + b + 1, a + b + 2, 17, 60} - {0, 1}:
+                    assert op_norm(x, q, N) == _scan_norm(x, q, N), (str(x), N)
+    for text, N in (("B", 600), ("-2*C*B", 600), ("C^3*A^2", 300), ("B^8", 300), ("q^3*C^5*A^8", 300)):
+        x = expr.evaluate(text)
+        assert op_norm(x, q, N) == _scan_norm(x, q, N), (text, N)
+
+
+def test_one_term_norm_edge_cases():
+    # N <= h: no entry stays inside the truncation, even where the entries
+    # just outside are past the float range
+    huge = expr.evaluate("(1/(1-q))^1100*A^3")
+    for N in (2, 3):
+        assert op_norm(expr.evaluate("B^3*C"), HALF, N) == 0.0
+        assert op_norm(huge, HALF, N) == 0.0
+    # a coefficient that vanishes at q0, and one purged below PURGE_EPS
+    for coeff in ("(1-2*q)", "q^2000"):
+        y = expr.evaluate(f"{coeff}*B^3*C")
+        assert op_norm(y, HALF, 40) == _scan_norm(y, HALF, 40) == 0.0
+    assert op_norm(expr.evaluate("(1-2*q)*B^3*C"), Fraction(1, 3), 40) > 0.0
+    # a pole at q0 raises wherever the term meets a column of the truncation
+    for b, a in ((3, 0), (0, 3)):
+        pole = Element.monomial(b, 1, a, RF_ONE / (RF_ONE - 2 * RF_Q))
+        for N in (2, 3, 4, 40):
+            if a < N:
+                with pytest.raises(PoleError):
+                    op_norm(pole, HALF, N)
+            else:
+                assert op_norm(pole, HALF, N) == _scan_norm(pole, HALF, N) == 0.0
+    with pytest.raises(OverflowError):
+        op_norm(huge, HALF, 4)
+
+
+def test_one_term_norm_reads_one_column(monkeypatch):
+    yielded = []
+
+    def counting(*args):
+        for col in _columns(*args):
+            yielded.append(col)
+            yield col
+
+    monkeypatch.setattr(spectral, "_columns", counting)
+    for text in ("C", "B^3", "C^2*A", "-3*C*B^2"):
+        yielded.clear()
+        op_norm(expr.evaluate(text), HALF, 300)
+        assert len(yielded) == 1, text
 
 
 #: g = 1: one residue-class block, the whole truncation
