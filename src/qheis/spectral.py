@@ -31,10 +31,9 @@ without that pole.  Weights are rounded once from the same integer
 q-integers, so the 1e-12 comparisons in the test suite measure the
 mathematics rather than accumulation error.
 
-The radicand of a band is kept as a running numerator and a running power
-of v: a window of at least ``_SLIDE_WIDTH`` q-integers slides by one product
-and one exact division per column, and a narrower one is multiplied out
-afresh.
+The radicand denominator of a band is a running power of v, stepped by v^h
+from column to column; its numerator, the product of the h q-integer
+numerators of the window, is multiplied out afresh for each column.
 
 The windowed geometric-mean estimators converge to the spectral radius from
 below; the lower-index estimator attains its infimum at n = 0, where it
@@ -93,12 +92,6 @@ PURGE_EPS = 1e-300
 #: ``weights``, the estimators and the decay report, whose exact q-integers
 #: take O(N^2) bits
 MAX_DIM = 2000
-#: radicand windows of at least this many q-integers slide from column to
-#: column (one product and one exact division); narrower ones are multiplied
-#: out afresh.  Filling B^h at N = 600 on a 2-vCPU Xeon, at q = 1/2, 1/3 and
-#: 99/100, the division was the slower up to h = 5 (5x at q = 99/100 for
-#: h <= 2), about even at h = 6 and faster from h = 7 on
-_SLIDE_WIDTH = 6
 
 
 def _check_dim(N: int) -> None:
@@ -180,7 +173,7 @@ def _columns(x: Element, q0: Fraction, start: int, stop: int):
     # the radicand {m+1}_q ... {m+h}_q of column m, h = a + b, has the
     # denominator v^(h m + h(h-1)/2), which steps by v^h
     # (b, a, first m, running integers: the term numerators, the denominator
-    # and the radicand denominator, their steps, the radicand numerator)
+    # and the radicand denominator, and their steps)
     bands = []
     for (b, a), parts in groups.items():
         m0 = max(start - a, 0)
@@ -190,27 +183,21 @@ def _columns(x: Element, q0: Fraction, start: int, stop: int):
         firsts = [c.numerator * (common // c.denominator) for _, c in parts] + [common, v ** (h * (h - 1) // 2)]
         steps = [u**k * v ** (top - k) for k, _ in parts] + [v**top, v**h]
         running = [f * s**m0 for f, s in zip(firsts, steps)]
-        radicand = [math.prod(rad_nums[m0 + 1 - lo : m0 + 1 + h - lo])]
-        bands.append((b, a, m0, running, steps, radicand))
+        bands.append((b, a, m0, running, steps))
     for n in range(start, stop):
         # b*a = 0, so distinct (b, a) send v_n to distinct targets n - a + b
         # and each target holds exactly one merged scalar
         col = {}
-        for b, a, m0, running, steps, radicand in bands:
+        for b, a, m0, running, steps in bands:
             if n < a:
                 continue
             m = n - a
             if m > m0:
                 running[:] = [p * s for p, s in zip(running, steps)]
-                i, h = m - lo, a + b
-                if h < _SLIDE_WIDTH:
-                    radicand[0] = math.prod(rad_nums[i + 1 : i + 1 + h])
-                else:
-                    # {m+h}_q enters the window and {m}_q leaves it, exactly
-                    radicand[0] = radicand[0] * rad_nums[i + h] // rad_nums[i]
             cn = sum(running[:-2])
             if cn:
-                value = signed_root(cn, running[-2], radicand[0], running[-1])
+                radicand = math.prod(rad_nums[m + 1 - lo : m + 1 + a + b - lo])
+                value = signed_root(cn, running[-2], radicand, running[-1])
                 if abs(value) >= PURGE_EPS:
                     col[m + b] = value
         yield col
@@ -263,10 +250,6 @@ def _peak(q0: Fraction, k: int, h: int, M: int) -> int:
     The ratio e(m+1)/e(m) = q^(2k) {m+h+1}_q / {m+1}_q falls as m grows, so
     the peak is the least m with q^(m+1) (1 - q^(2k+h)) <= 1 - q^(2k), or M
     when there is none; with q0 = u/v that is an integer comparison."""
-    if h == 0:
-        return 0
-    if k == 0:
-        return M
     u, v = q0.numerator, q0.denominator
     left, right = v ** (2 * k + h) - u ** (2 * k + h), v**h * (v ** (2 * k) - u ** (2 * k))
     return bisect_left(range(M), True, key=lambda m: u ** (m + 1) * left <= v ** (m + 1) * right)
@@ -401,14 +384,21 @@ class SpectrumFacts(
 
 def _underflows(q0: Fraction, e: int) -> bool:
     """Whether q0^e < 2^-1075, so that its double is 0.0, shown from bit
-    lengths without the power.  With q0 = u/v, u^t < 2^bl(u^t) and
-    v^t >= 2^(bl(v^t)-1), so q0^t < 2^-d for d = bl(v^t) - bl(u^t) - 1, and
-    q0^e <= (q0^t)^(e//t) < 2^(-d (e//t)); t doubles until d >= 1."""
+    lengths without the power.  With q0 = u/v and g = bl(v^t) - bl(u^t),
+    2^(-g-1) < q0^t < 2^(1-g), and q0^(t (e//t + 1)) < q0^e <= (q0^t)^(e//t).
+    So (g - 1)(e//t) >= 1075 shows underflow, and (g + 1)(e//t + 1) <= 1074
+    shows that q0^e is at least the least subnormal.  t doubles until one of
+    them holds: g about doubles as e//t halves, so the bounds tighten, which
+    q0 near 1 needs.  The bounds are off by a factor of about 2^(2e/t), so
+    only an e with q0^e that close to 2^-1075 takes t near e, where u^t and
+    v^t are as large as the power itself."""
     u, v, t = q0.numerator, q0.denominator, 1
     while t <= e:
-        d = v.bit_length() - u.bit_length() - 1
-        if d > 0:
-            return d * (e // t) >= 1075
+        g = v.bit_length() - u.bit_length()
+        if (g - 1) * (e // t) >= 1075:
+            return True
+        if (g + 1) * (e // t + 1) <= 1074:
+            return False
         u, v, t = u * u, v * v, 2 * t
     return False
 

@@ -351,10 +351,12 @@ def test_norm_of_two_wide_bands_within_its_column_bounds(capsys):
     assert value <= (col[599] + apply_numeric(x, 599, "1/2")[596]) * (1 + 1e-12)
 
 
-def test_spectrum_of_a_huge_diagonal_power_is_fast(capsys):
-    # q^(kn) rounds to 0.0 past n = 0, which bit lengths show without the power
+@pytest.mark.parametrize("q", ["1/2", "9999/10000"])
+def test_spectrum_of_a_huge_diagonal_power_is_fast(capsys, q):
+    # q^(kn) rounds to 0.0 past n = 0, which bit lengths show without the
+    # power; near q = 1 (q^k about 2^-1443) only after several squarings
     start = time.perf_counter()
-    assert main(["spectrum", "--op", "C", "--k", "10000000", "--q", "1/2", "--json"]) == 0
+    assert main(["spectrum", "--op", "C", "--k", "10000000", "--q", q, "--json"]) == 0
     assert time.perf_counter() - start < 2.0
     assert json.loads(capsys.readouterr().out)["result"]["eigenvalues"] == [1.0] + [0.0] * 19
 

@@ -370,6 +370,15 @@ def test_one_term_norm_edge_cases():
                 assert op_norm(pole, HALF, N) == _scan_norm(pole, HALF, N) == 0.0
     with pytest.raises(OverflowError):
         op_norm(huge, HALF, 4)
+    # N > h and k = 0: the peak column m = 1 of B^3 at N = 5 fits the float
+    # range, while column 2, whose image v_5 lies outside the truncation,
+    # does not; the scan, and the dense matrix, round that entry too
+    edge = expr.evaluate("7/4*(1/(1-q))^1022*B^3")
+    assert op_norm(edge, HALF, 5) == apply_numeric(edge, 1, HALF)[4]
+    with pytest.raises(OverflowError):
+        apply_numeric(edge, 2, HALF)
+    with pytest.raises(OverflowError):
+        matrix(edge, HALF, 5).max_abs()
 
 
 def test_one_term_norm_reads_one_column(monkeypatch):
