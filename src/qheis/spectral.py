@@ -3,10 +3,11 @@
 B acts as the weighted shift with weights alpha_n = sqrt({n+1}_q), A as its
 adjoint, and C^k as the diagonal operator with entries q^(kn).  Truncation
 uses apply-then-project semantics: every matrix column is the exact action
-on a basis vector computed in the infinite model, with rows >= N dropped
-afterwards.  Multiplying truncated matrices instead would corrupt the last
-columns of shift powers, so products of elements are normalized symbolically
-before they are materialized.
+on a basis vector in the infinite model, projected to rows below N.  Rows
+>= N are never computed, so an entry outside the truncation costs no time
+and cannot overflow.  Multiplying truncated matrices instead would corrupt
+the last columns of shift powers, so products of elements are normalized
+symbolically before they are materialized.
 
 Floating-point policy: every monomial B^b C^k A^a is one band, sending v_n
 to q^(k(n-a)) sqrt({n-a+1}_q ... {n-a+max(a,b)}_q) v_(n-a+b), so columns are
@@ -33,7 +34,10 @@ mathematics rather than accumulation error.
 
 The radicand denominator of a band is a running power of v, stepped by v^h
 from column to column; its numerator, the product of the h q-integer
-numerators of the window, is multiplied out afresh for each column.
+numerators of the window, is multiplied out afresh for each column.  That
+product has at most h (m + h) bit_length(v) bits in column m, and a fill
+whose last column would pass ``MAX_RADICAND_BITS`` is refused before any
+q-integer is computed.
 
 The windowed geometric-mean estimators converge to the spectral radius from
 below; the lower-index estimator attains its infimum at n = 0, where it
@@ -64,10 +68,11 @@ One term c B^b C^k A^a needs one column: with h = a + b, its squared
 entries e(m), in column m + a, have the ratio e(m+1)/e(m) =
 q^(2k) {m+h+1}_q / {m+1}_q, which falls as m grows.  So they are unimodal
 and peak at the first m where the ratio is at most 1 (an exact integer
-comparison), clamped to the last kept column, m = N - h - 1.  Rounding is
-monotone, so the one correctly rounded entry there is the largest of all N,
-bit for bit.  A band with several C-powers has no such ratio and is
-scanned column by column.
+comparison), clamped to the last column inside the truncation, m = N - h - 1.
+Rounding is monotone, so the one correctly rounded entry there is the
+largest of all N, bit for bit.  When h >= N no entry lies inside.  Such a
+term, and a band with several C-powers, which has no such ratio, are
+scanned column by column, with the rows >= N left out of the fill.
 """
 
 from __future__ import annotations
@@ -92,6 +97,10 @@ PURGE_EPS = 1e-300
 #: ``weights``, the estimators and the decay report, whose exact q-integers
 #: take O(N^2) bits
 MAX_DIM = 2000
+#: largest size in bits, bounded by h (n + b) bit_length(v) at q = u/v, of
+#: the radicand that one column n of a band B^b C^k A^a (h = a + b) in the
+#: band fill multiplies out
+MAX_RADICAND_BITS = 2_000_000
 
 
 def _check_dim(N: int) -> None:
@@ -152,46 +161,53 @@ def weights(q0, N: int) -> WeightSequence:
     return WeightSequence(q0=q0, values=vals)
 
 
-def _columns(x: Element, q0: Fraction, start: int, stop: int):
+def _columns(x: Element, q0: Fraction, start: int, stop: int, rows: float = math.inf):
     """Yield the numeric image of v_n under x for each n in [start, stop),
     as a map from target index to value with entries below the purge
-    threshold dropped; see the module notes for the rounding policy."""
+    threshold dropped; see the module notes for the rounding policy.  No
+    entry at a target index >= ``rows`` is computed, though every term that
+    meets a column is evaluated, so a pole at q0 raises all the same."""
     u, v = q0.numerator, q0.denominator
     groups = {}
     for bw, c in x.terms.items():
         if bw.a < stop:
             groups.setdefault((bw.b, bw.a), []).append((bw.k, c.evaluate(q0)))
-    max_a = max((a for _, a in groups), default=0)
-    max_b = max((b for b, _ in groups), default=0)
-    # column n reads {n-max_a+1}_q .. {n+max_b}_q, so the exact q-integers
-    # are tabulated over the window the requested columns touch
-    lo = max(start - max_a, 0) + 1
-    rad_nums = [r for r, _ in islice(_qintegers(q0, lo), stop + max_b - lo + 1)]
     # the terms c_i q0^(k_i m) of a band share the denominator L v^(K m), with
     # L the lcm of the denominators of the c_i and K the largest k_i, so the
     # numerator of term i steps by u^k_i v^(K - k_i) and the denominator by v^K;
     # the radicand {m+1}_q ... {m+h}_q of column m, h = a + b, has the
-    # denominator v^(h m + h(h-1)/2), which steps by v^h
-    # (b, a, first m, running integers: the term numerators, the denominator
-    # and the radicand denominator, and their steps)
+    # denominator v^(h m + h(h-1)/2), which steps by v^h, and a numerator of
+    # at most h (m + h) bit_length(v) bits
+    # (b, a, first and end m, running integers: the term numerators, the
+    # denominator and the radicand denominator, and their steps)
     bands = []
     for (b, a), parts in groups.items():
-        m0 = max(start - a, 0)
+        # column m + a holds the entry of v_(m+b), computed for m + b < rows
+        m0, m1 = max(start - a, 0), min(stop - a, rows - b)
+        if m0 >= m1:
+            continue
         h = a + b
+        bits = h * (m1 - 1 + h) * v.bit_length()
+        if bits > MAX_RADICAND_BITS:
+            raise ValueError(f"a column radicand of up to {bits} bits exceeds MAX_RADICAND_BITS = {MAX_RADICAND_BITS}")
         top = max(k for k, _ in parts)
         common = math.lcm(*(c.denominator for _, c in parts))
         firsts = [c.numerator * (common // c.denominator) for _, c in parts] + [common, v ** (h * (h - 1) // 2)]
         steps = [u**k * v ** (top - k) for k, _ in parts] + [v**top, v**h]
         running = [f * s**m0 for f, s in zip(firsts, steps)]
-        bands.append((b, a, m0, running, steps))
+        bands.append((b, a, m0, m1, running, steps))
+    # the exact q-integers are tabulated over the window the columns read
+    lo = min((m0 for _, _, m0, *_ in bands), default=0) + 1
+    end = max((m1 + a + b for b, a, _, m1, *_ in bands), default=lo)
+    rad_nums = [r for r, _ in islice(_qintegers(q0, lo), end - lo)]
     for n in range(start, stop):
         # b*a = 0, so distinct (b, a) send v_n to distinct targets n - a + b
         # and each target holds exactly one merged scalar
         col = {}
-        for b, a, m0, running, steps in bands:
-            if n < a:
-                continue
+        for b, a, m0, m1, running, steps in bands:
             m = n - a
+            if not m0 <= m < m1:
+                continue
             if m > m0:
                 running[:] = [p * s for p, s in zip(running, steps)]
             cn = sum(running[:-2])
@@ -213,8 +229,8 @@ def apply_numeric(x: Element, n: int, q0) -> dict:
 
 
 class TruncatedMatrix:
-    """Dense N x N truncation; column j is the action on v_j projected to
-    indices below N.  Equal only to itself."""
+    """Dense N x N truncation; column j is the action on v_j at the indices
+    below N, the only ones computed.  Equal only to itself."""
 
     __slots__ = ("dim", "q0", "data")
 
@@ -237,10 +253,9 @@ def matrix(x: Element, q0, N: int) -> TruncatedMatrix:
     import numpy as np
 
     data = np.zeros((N, N))
-    for j, col in enumerate(_columns(x, q0.value, 0, N)):
+    for j, col in enumerate(_columns(x, q0.value, 0, N, N)):
         for idx, v in col.items():
-            if idx < N:
-                data[idx, j] = v
+            data[idx, j] = v
     return TruncatedMatrix(dim=N, q0=q0, data=data)
 
 
@@ -256,10 +271,10 @@ def _peak(q0: Fraction, k: int, h: int, M: int) -> int:
 
 
 def op_norm(x: Element, q0, N: int) -> float:
-    """Largest singular value of the truncated matrix of x, exactly: the
-    largest absolute entry when x is one band, read from the peak column
-    alone when x is one term, else the largest LAPACK SVD of the
-    residue-class blocks of the truncation (see the module notes)."""
+    """Largest singular value of the N x N truncation of x, exactly, with no
+    row >= N computed: the largest absolute entry when x is one band, read
+    from its peak column alone when x is one term with entries inside, else
+    the largest LAPACK SVD of the residue-class blocks (see the module notes)."""
     if N < 2:
         raise ValueError("norm estimation needs dimension at least 2")
     offsets = {bw.b - bw.a for bw in x.terms}
@@ -267,20 +282,16 @@ def op_norm(x: Element, q0, N: int) -> float:
         # one band: at most one nonzero in each row and column
         _check_dim(N)
         q0 = NumericQ.coerce(q0)
+        start, stop = 0, N
         if len(x.terms) == 1:
-            ((bw, c),) = x.terms.items()
-            # column m + a holds the entry of v_(m+b), kept for m <= M
-            M = N - bw.a - bw.b - 1
-            if M < 0:
-                # no entry stays inside; a pole at q0 still raises wherever
-                # the term meets a column of the truncation, as in the scan
-                if bw.a < N:
-                    c.evaluate(q0.value)
-                return 0.0
-            n = _peak(q0.value, bw.k, bw.a + bw.b, M) + bw.a
-            return max(map(abs, next(_columns(x, q0.value, n, n + 1)).values()), default=0.0)
-        cols = _columns(x, q0.value, 0, N)
-        return max((abs(v) for col in cols for i, v in col.items() if i < N), default=0.0)
+            (bw,) = x.terms
+            h = bw.a + bw.b
+            if h < N:
+                # column m + a holds the entry of v_(m+b), inside for m < N - h
+                start = _peak(q0.value, bw.k, h, N - h - 1) + bw.a
+                stop = start + 1
+        cols = _columns(x, q0.value, start, stop, N)
+        return max((abs(v) for col in cols for v in col.values()), default=0.0)
     data = matrix(x, q0, N).data
     import numpy as np
 

@@ -351,6 +351,28 @@ def test_norm_of_two_wide_bands_within_its_column_bounds(capsys):
     assert value <= (col[599] + apply_numeric(x, 599, "1/2")[596]) * (1 + 1e-12)
 
 
+def test_norm_skips_a_band_outside_the_truncation(capsys):
+    # no entry of B^1200 lies inside a dimension 20, so only C is computed;
+    # filling B^1200 in full took minutes at q = 1/100
+    assert _timed_norm(capsys, ["C+B^1200", "--q", "1/100", "--dim", "20"], 2.0) == 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["apply", "B^5000", "--n", "3", "--q", "1/2"], ["apply", "B^1000", "--n", "3", "--q", "1/100"]],
+    ids=["B^5000", "B^1000"],
+)
+def test_column_radicand_over_its_budget_is_refused(capsys, argv):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr()
+    assert code == 1
+    assert err.out == ""
+    assert "MAX_RADICAND_BITS" in err.err
+    assert elapsed < 2.0
+
+
 @pytest.mark.parametrize("q", ["1/2", "9999/10000"])
 def test_spectrum_of_a_huge_diagonal_power_is_fast(capsys, q):
     # q^(kn) rounds to 0.0 past n = 0, which bit lengths show without the

@@ -103,7 +103,9 @@ def _oracle_elements():
         Element({BasisWord(0, 1, 0): RF_ONE, BasisWord(0, 0, 0): -RF_ONE, BasisWord(1, 2, 0): q_over}),
         Element({BasisWord(1, 0, 0): inv, BasisWord(1, 2, 0): -RF_Q, BasisWord(0, 2, 1): q_over, BasisWord(0, 0, 1): RF_ONE}),
     ]
-    return merged + [random_element(rng, max_terms=5) for _ in range(24)]
+    # bands wider than the truncation of the band fill tests, N = 18
+    wide = [expr.evaluate("B^20+A"), expr.evaluate("C*A^19+B")]
+    return merged + [random_element(rng, max_terms=5) for _ in range(24)] + wide
 
 
 @pytest.mark.parametrize("q", ORACLE_QS, ids=str)
@@ -179,6 +181,13 @@ def test_entry_whose_square_overflows_a_float():
     assert matrix(x, HALF, 10).data[9, 8] == got[9]
     with pytest.raises(OverflowError):
         apply_numeric(expr.evaluate("(1/(1-q))^1100*B"), 8, HALF)
+
+
+def test_truncation_never_computes_rows_past_it():
+    # every entry of these bands lies at a row >= N, where it would be past
+    # the float range
+    assert not matrix(expr.evaluate("(1/(1-q))^1100*B^3"), HALF, 3).data.any()
+    assert op_norm(expr.evaluate("(1/(1-q))^1100*(B^3+C*B^3)"), HALF, 3) == 0.0
 
 
 def test_pole_at_q0_raises():
@@ -372,13 +381,13 @@ def test_one_term_norm_edge_cases():
         op_norm(huge, HALF, 4)
     # N > h and k = 0: the peak column m = 1 of B^3 at N = 5 fits the float
     # range, while column 2, whose image v_5 lies outside the truncation,
-    # does not; the scan, and the dense matrix, round that entry too
+    # does not; the infinite model rounds that entry, the truncation never
+    # computes it
     edge = expr.evaluate("7/4*(1/(1-q))^1022*B^3")
     assert op_norm(edge, HALF, 5) == apply_numeric(edge, 1, HALF)[4]
     with pytest.raises(OverflowError):
         apply_numeric(edge, 2, HALF)
-    with pytest.raises(OverflowError):
-        matrix(edge, HALF, 5).max_abs()
+    assert matrix(edge, HALF, 5).max_abs() == op_norm(edge, HALF, 5)
 
 
 def test_one_term_norm_reads_one_column(monkeypatch):
