@@ -10,18 +10,21 @@ the last columns of shift powers, so products of elements are normalized
 symbolically before they are materialized.
 
 Floating-point policy: every monomial B^b C^k A^a is one band, sending v_n
-to q^(k(n-a)) sqrt({n-a+1}_q ... {n-a+max(a,b)}_q) v_(n-a+b), so columns are
-filled directly rather than through the symbolic ket action.  All exact work
-is on plain unreduced Python ints and takes no gcd.  With q0 = u/v, each
-monomial coefficient is evaluated at q0 once per call; the terms of a band
-keep integer numerators over one integer denominator, stepped by powers of
-u and v from column to column; and the q-integer radicands {m}_q come as
-integer pairs N_m / v^(m-1) from a table over the window the requested
-columns touch.  Terms with equal (b, a) share target and radicand and merge
-exactly, as in ``lie.apply_symbolic``; each merged scalar c * sqrt(r) is
-then rounded once, as the square root of one int/int true division for
-c^2 r, with the sign of c (``ratfun.signed_root``).  Int true division rounds
-correctly for any operand size, so the unreduced quotient gives the double
+to q^(k(n-a)) sqrt({n-a+1}_q ... {n-a+max(a,b)}_q) v_(n-a+b), so bands are
+filled directly rather than through the symbolic ket action, one band at a
+time over its own columns.  ``matrix`` stores each band as one strided
+diagonal of the dense array, the decay report sums squares band by band,
+and ``apply_numeric`` and the one-band norms read a per-column view of the
+same fill.  All exact work is on plain unreduced Python ints and takes no
+gcd.  With q0 = u/v, each monomial coefficient is evaluated at q0 once per
+call; the terms of a band keep integer numerators over one integer
+denominator, stepped by powers of u and v from column to column; and the
+q-integer radicands {m}_q come as integer pairs N_m / v^(m-1) from a table
+over the window the requested columns touch.  Terms with equal (b, a) share
+target and radicand and merge exactly, as in ``lie.apply_symbolic``; each
+merged scalar c * sqrt(r) is then rounded once, as the square root of one
+int/int true division for c^2 r, with the sign of c (``ratfun.signed_root``).
+Int true division rounds correctly for any operand size, so the unreduced quotient gives the double
 that ``float`` of the reduced fraction gives: the values are the same exact
 rationals that ``apply_symbolic(x, n).numeric(q0)`` rounds, wherever every
 term coefficient is defined at q0, and the columns agree with it bit for
@@ -35,11 +38,16 @@ mathematics rather than accumulation error.
 The radicand denominator of a band is a running power of v, stepped by v^h
 from column to column; its numerator, the product of the h q-integer
 numerators of the window, is multiplied out afresh for each column.  That
-product has at most h (m + h) bit_length(v) bits in column m, and a fill
-whose last column would pass ``MAX_RADICAND_BITS`` is refused before any
-q-integer is computed.
+product has at most h (m + h) bit_length(v) bits in column m, and the
+running numerators and denominator of a band whose largest C-power is K
+have about K m bit_length(v) bits each, which the rounding squares.  A fill
+whose last column would pass ``MAX_RADICAND_BITS`` in all is refused before
+any power or q-integer is computed.
 
-The windowed geometric-mean estimators converge to the spectral radius from
+The windowed geometric-mean estimators take the window sums of the log
+weights for a block of window lengths at once, as one numpy array reduced
+in one call; each sum is the same float subtraction of two prefix sums as
+one call per length would make.  They converge to the spectral radius from
 below; the lower-index estimator attains its infimum at n = 0, where it
 equals (1-q)^(-1/2) * prod_{i<k} (1-q^(i+1))^(1/2k), so its error decays
 like O(1/k).  That slow rate is inherent to the formula, not a defect; the
@@ -81,7 +89,8 @@ import math
 from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice, repeat
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .algebra import Element
@@ -97,10 +106,14 @@ PURGE_EPS = 1e-300
 #: ``weights``, the estimators and the decay report, whose exact q-integers
 #: take O(N^2) bits
 MAX_DIM = 2000
-#: largest size in bits, bounded by h (n + b) bit_length(v) at q = u/v, of
-#: the radicand that one column n of a band B^b C^k A^a (h = a + b) in the
-#: band fill multiplies out
+#: largest size in bits, bounded by (h (m + h) + 2 K m) bit_length(v) at
+#: q = u/v, of the operands of the one division that rounds an entry of the
+#: band fill: column m + a of a band B^b C^k A^a (h = a + b, K the largest k
+#: among its terms) multiplies out a radicand of h q-integers, and its running
+#: numerators and denominator, squared, grow by 2 K bit_length(v) bits a column
 MAX_RADICAND_BITS = 2_000_000
+#: number of doubles in one block of window sums of ``_window_means``
+_WINDOW_BLOCK = 1 << 15
 
 
 def _check_dim(N: int) -> None:
@@ -161,12 +174,14 @@ def weights(q0, N: int) -> WeightSequence:
     return WeightSequence(q0=q0, values=vals)
 
 
-def _columns(x: Element, q0: Fraction, start: int, stop: int, rows: float = math.inf):
-    """Yield the numeric image of v_n under x for each n in [start, stop),
-    as a map from target index to value with entries below the purge
-    threshold dropped; see the module notes for the rounding policy.  No
-    entry at a target index >= ``rows`` is computed, though every term that
-    meets a column is evaluated, so a pole at q0 raises all the same."""
+def _bands(x: Element, q0: Fraction, start: int, stop: int, rows: float = math.inf):
+    """Yield (b, a, m0, entries) for each band B^b C^k A^a of x in term
+    order, where entries[i] is the numeric entry that v_(m0+i+a) sends to
+    v_(m0+i+b), for the columns in [start, stop) and the rows below ``rows``,
+    with 0.0 where it is zero or below the purge threshold; see the module
+    notes for the rounding policy.  Before the first band is filled, every
+    term that meets a column is evaluated, so a pole at q0 raises all the
+    same, and every band is checked against ``MAX_RADICAND_BITS``."""
     u, v = q0.numerator, q0.denominator
     groups = {}
     for bw, c in x.terms.items():
@@ -174,49 +189,60 @@ def _columns(x: Element, q0: Fraction, start: int, stop: int, rows: float = math
             groups.setdefault((bw.b, bw.a), []).append((bw.k, c.evaluate(q0)))
     # the terms c_i q0^(k_i m) of a band share the denominator L v^(K m), with
     # L the lcm of the denominators of the c_i and K the largest k_i, so the
-    # numerator of term i steps by u^k_i v^(K - k_i) and the denominator by v^K;
-    # the radicand {m+1}_q ... {m+h}_q of column m, h = a + b, has the
-    # denominator v^(h m + h(h-1)/2), which steps by v^h, and a numerator of
-    # at most h (m + h) bit_length(v) bits
-    # (b, a, first and end m, running integers: the term numerators, the
-    # denominator and the radicand denominator, and their steps)
+    # numerator of term i steps by u^k_i v^(K - k_i) and the denominator by
+    # v^K; the radicand {m+1}_q ... {m+h}_q of column m, h = a + b, has the
+    # denominator v^(h m + h(h-1)/2), which steps by v^h
+    # (b, a, first and end m, and the running integers at m = 0 and their
+    # steps: the term numerators, the denominator and the radicand denominator)
     bands = []
     for (b, a), parts in groups.items():
         # column m + a holds the entry of v_(m+b), computed for m + b < rows
         m0, m1 = max(start - a, 0), min(stop - a, rows - b)
         if m0 >= m1:
             continue
-        h = a + b
-        bits = h * (m1 - 1 + h) * v.bit_length()
+        h, top = a + b, max(k for k, _ in parts)
+        # the last column m rounds c^2 r as one int/int division whose
+        # operands have at most about this many bits: a radicand part of
+        # h (m + h) bit_length(v) bits, and the square of a running integer of
+        # K m bit_length(v) bits
+        bits = (h * (m1 - 1 + h) + 2 * top * (m1 - 1)) * v.bit_length()
         if bits > MAX_RADICAND_BITS:
-            raise ValueError(f"a column radicand of up to {bits} bits exceeds MAX_RADICAND_BITS = {MAX_RADICAND_BITS}")
-        top = max(k for k, _ in parts)
+            raise ValueError(f"a column of up to {bits} bits exceeds MAX_RADICAND_BITS = {MAX_RADICAND_BITS}")
         common = math.lcm(*(c.denominator for _, c in parts))
         firsts = [c.numerator * (common // c.denominator) for _, c in parts] + [common, v ** (h * (h - 1) // 2)]
         steps = [u**k * v ** (top - k) for k, _ in parts] + [v**top, v**h]
-        running = [f * s**m0 for f, s in zip(firsts, steps)]
-        bands.append((b, a, m0, m1, running, steps))
+        bands.append((b, a, m0, m1, firsts, steps))
     # the exact q-integers are tabulated over the window the columns read
     lo = min((m0 for _, _, m0, *_ in bands), default=0) + 1
     end = max((m1 + a + b for b, a, _, m1, *_ in bands), default=lo)
     rad_nums = [r for r, _ in islice(_qintegers(q0, lo), end - lo)]
-    for n in range(start, stop):
+    for b, a, m0, m1, firsts, steps in bands:
+        count, i = m1 - m0, m0 + 1 - lo
+        # the running integers of the columns m0 ... m1 - 1, one stream each
+        *nums, dens, rad_dens = (
+            accumulate(repeat(s, count - 1), mul, initial=f * s**m0) for f, s in zip(firsts, steps)
+        )
+        cns = nums[0] if len(nums) == 1 else map(sum, zip(*nums))
+        # the radicand numerator of column m: the h q-integer numerators from m + 1
+        rads = map(math.prod, zip(*(rad_nums[i + j : i + j + count] for j in range(a + b)))) if a + b else repeat(1)
+        yield b, a, m0, [
+            value if cn and abs(value := signed_root(cn, cd, rn, rd)) >= PURGE_EPS else 0.0
+            for cn, cd, rn, rd in zip(cns, dens, rads, rad_dens)
+        ]
+
+
+def _columns(x: Element, q0: Fraction, start: int, stop: int, rows: float = math.inf) -> list:
+    """The numeric images of v_n under x for n in [start, stop), as maps
+    from target index to value without the zero and purged entries, read
+    off ``_bands`` with the same arguments."""
+    cols = [{} for _ in range(start, stop)]
+    for b, a, m0, entries in _bands(x, q0, start, stop, rows):
         # b*a = 0, so distinct (b, a) send v_n to distinct targets n - a + b
         # and each target holds exactly one merged scalar
-        col = {}
-        for b, a, m0, m1, running, steps in bands:
-            m = n - a
-            if not m0 <= m < m1:
-                continue
-            if m > m0:
-                running[:] = [p * s for p, s in zip(running, steps)]
-            cn = sum(running[:-2])
-            if cn:
-                radicand = math.prod(rad_nums[m + 1 - lo : m + 1 + a + b - lo])
-                value = signed_root(cn, running[-2], radicand, running[-1])
-                if abs(value) >= PURGE_EPS:
-                    col[m + b] = value
-        yield col
+        for m, value in enumerate(entries, m0):
+            if value:
+                cols[m + a - start][m + b] = value
+    return cols
 
 
 def apply_numeric(x: Element, n: int, q0) -> dict:
@@ -225,7 +251,7 @@ def apply_numeric(x: Element, n: int, q0) -> dict:
     if n < 0:
         raise ValueError("basis index must be nonnegative")
     q0 = NumericQ.coerce(q0)
-    return next(_columns(x, q0.value, n, n + 1))
+    return _columns(x, q0.value, n, n + 1)[0]
 
 
 class TruncatedMatrix:
@@ -246,6 +272,10 @@ class TruncatedMatrix:
 
 
 def matrix(x: Element, q0, N: int) -> TruncatedMatrix:
+    """The N x N truncation of x at q0, filled band by band: the entries of a
+    band lie on one diagonal, N + 1 apart in row-major order, and are stored
+    with one strided slice assignment; distinct bands lie on distinct
+    diagonals, so every entry is stored once."""
     if N < 1:
         raise ValueError("matrix dimension must be positive")
     _check_dim(N)
@@ -253,9 +283,10 @@ def matrix(x: Element, q0, N: int) -> TruncatedMatrix:
     import numpy as np
 
     data = np.zeros((N, N))
-    for j, col in enumerate(_columns(x, q0.value, 0, N, N)):
-        for idx, v in col.items():
-            data[idx, j] = v
+    flat = data.reshape(-1)
+    for b, a, m0, entries in _bands(x, q0.value, 0, N, N):
+        first = (m0 + b) * N + m0 + a
+        flat[first : first + len(entries) * (N + 1) : N + 1] = entries
     return TruncatedMatrix(dim=N, q0=q0, data=data)
 
 
@@ -306,17 +337,28 @@ def op_norm(x: Element, q0, N: int) -> float:
 def _window_means(q0, kmax: int, N: int, pick: str) -> list:
     """For each window length k <= kmax, the numpy reduction named by
     ``pick`` ("max" or "min") over n < N-k of the geometric mean of the k
-    consecutive weights from n on."""
+    consecutive weights from n on.  The window sums csum[n+k] - csum[n] of a
+    block of lengths k form one array, reduced along n in one call: csum is
+    padded past its index N-1 with -inf for "max" and +inf for "min", so
+    the windows that run past it never win."""
     if kmax < 1 or N <= kmax:
         raise ValueError("need kmax >= 1 and N > kmax")
     _check_dim(N)
     q0 = NumericQ.coerce(q0)
     import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
 
-    pick = getattr(np, pick)
-    logs = np.array([0.5 * math.log(n / d) for n, d in islice(_qintegers(q0.value, 1), N)])
-    csum = np.concatenate([[0.0], np.cumsum(logs)])
-    return [float(math.exp(pick(csum[k:N] - csum[0 : N - k]) / k)) for k in range(1, kmax + 1)]
+    reduce = getattr(np, pick)
+    logs = np.array([0.5 * math.log(n / d) for n, d in islice(_qintegers(q0.value, 1), N - 1)])
+    csum = np.concatenate([[0.0], np.cumsum(logs), np.full(kmax, -math.inf if pick == "max" else math.inf)])
+    # row k of the view is csum[k : k + N]
+    shifted = sliding_window_view(csum, N)
+    step = max(1, _WINDOW_BLOCK // N)
+    means = []
+    for k in range(1, kmax + 1, step):
+        end = min(k + step, kmax + 1)
+        means += (reduce(shifted[k:end] - csum[:N], axis=1) / np.arange(k, end)).tolist()
+    return [math.exp(m) for m in means]
 
 
 def spectral_radius_est(q0, kmax: int, N: int):
@@ -479,11 +521,18 @@ class DecayReport(namedtuple("DecayReport", "q0 tail verdict")):
 
 
 def compact_decay_report(x: Element, q0, N: int) -> DecayReport:
+    """The Euclidean norms of the images of v_0 ... v_(N-1) in the infinite
+    model, from the squares of the entries collected band by band in term
+    order and summed per column, without numpy."""
     if N < 1:
         raise ValueError("decay report needs at least one column")
     _check_dim(N)
     q0 = NumericQ.coerce(q0)
-    tail = [math.sqrt(sum(v * v for v in col.values())) for col in _columns(x, q0.value, 0, N)]
+    squares = [[] for _ in range(N)]
+    for b, a, m0, entries in _bands(x, q0.value, 0, N):
+        for col, value in zip(squares[m0 + a :], entries):
+            col.append(value * value)
+    tail = [math.sqrt(sum(col)) for col in squares]
     peak = max(tail)
     if peak == 0.0 or tail[-1] < 0.5 * peak:
         verdict = "consistent-with-compact"

@@ -359,8 +359,14 @@ def test_norm_skips_a_band_outside_the_truncation(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["apply", "B^5000", "--n", "3", "--q", "1/2"], ["apply", "B^1000", "--n", "3", "--q", "1/100"]],
-    ids=["B^5000", "B^1000"],
+    [
+        ["apply", "B^5000", "--n", "3", "--q", "1/2"],
+        ["apply", "B^1000", "--n", "3", "--q", "1/100"],
+        # the running numerators and denominator of a C-power count too
+        ["apply", "C^20000", "--n", "20000", "--q", "1/2"],
+        ["apply", "C", "--n", "1000000", "--q", "1/2"],
+    ],
+    ids=["B^5000", "B^1000", "C^20000", "C"],
 )
 def test_column_radicand_over_its_budget_is_refused(capsys, argv):
     start = time.perf_counter()

@@ -125,6 +125,31 @@ def test_band_fill_equals_symbolic_oracle_bitwise(q):
             assert tail[n] == math.sqrt(sum(v * v for v in want.values())), (str(x), n)
 
 
+#: bands whose entries are zero (a coefficient that vanishes at q = 1/2) or
+#: purged below PURGE_EPS
+ZERO_BANDS = ("(1-2*q)*B^3*C", "q^2000*B^3*C")
+
+
+@pytest.mark.parametrize("q", ORACLE_QS + (NEAR_ONE,), ids=str)
+def test_band_stores_equal_the_column_view(q):
+    # matrix stores each band as one strided diagonal, and the decay report
+    # sums the squares band by band: both agree with an assembly, entry by
+    # entry and column by column, from the per-column view, also for N <= h,
+    # where a band leaves the truncation
+    for x in _oracle_elements() + [expr.evaluate(text) for text in ZERO_BANDS]:
+        h = max(bw.a + bw.b for bw in x.terms)
+        for N in sorted({1, 2, 3, h, h + 1, 120} - {0}):
+            want = np.zeros((N, N))
+            for n, col in enumerate(_columns(x, q, 0, N, N)):
+                for i, v in col.items():
+                    want[i, n] = v
+            assert matrix(x, q, N).data.tobytes() == want.tobytes(), (str(x), N)
+            tail = tuple(math.sqrt(sum(v * v for v in col.values())) for col in _columns(x, q, 0, N))
+            assert compact_decay_report(x, q, N).tail == tail, (str(x), N)
+    for text in ZERO_BANDS:
+        assert not matrix(expr.evaluate(text), HALF, 40).data.any(), text
+
+
 @pytest.mark.parametrize("q", ORACLE_QS + (NEAR_ONE,), ids=str)
 def test_deep_columns_equal_symbolic_oracle_bitwise(q):
     # at these indices the running numerators and denominators carry
@@ -227,6 +252,25 @@ def test_weights_and_estimators_from_exact_qintegers():
         spans = [csum[k:300] - csum[0 : 300 - k] for k in range(1, 41)]
         assert spectral_radius_est(q, 40, 300) == [math.exp(np.max(s) / k) for k, s in enumerate(spans, 1)]
         assert lower_index_est(q, 40, 300) == [math.exp(np.min(s) / k) for k, s in enumerate(spans, 1)]
+
+
+#: (kmax, N) of the block estimators: one window length, every length of a
+#: single block, and lengths over several blocks of _WINDOW_BLOCK doubles
+ESTIMATOR_GRID = [(1, 2)] + [(N - 1, N) for N in (2, 3, 66, 520)] + [(500, 520), (1999, 2000)]
+
+
+@pytest.mark.parametrize("q", ORACLE_QS + (NEAR_ONE,), ids=str)
+def test_block_estimators_equal_the_per_length_reduction(q):
+    assert any(kmax > spectral._WINDOW_BLOCK // N for kmax, N in ESTIMATOR_GRID)
+    for kmax, N in ESTIMATOR_GRID:
+        exact = [qbracket_value(n + 1, q) for n in range(N)]
+        logs = np.array([0.5 * math.log(float(v)) for v in exact])
+        csum = np.concatenate([[0.0], np.cumsum(logs)])
+        spans = [csum[k:N] - csum[0 : N - k] for k in range(1, kmax + 1)]
+        for estimate, pick in ((spectral_radius_est, np.max), (lower_index_est, np.min)):
+            got = estimate(q, kmax, N)
+            assert got == [math.exp(pick(s) / k) for k, s in enumerate(spans, 1)], (kmax, N, pick)
+            assert all(type(v) is float for v in got), (kmax, N, pick)
 
 
 def test_matrix_examples():
