@@ -331,8 +331,26 @@ def multiply_cascade(x: Element, y: Element) -> Element:
 
 
 def bracket(x: Element, y: Element) -> Element:
-    """Commutator xy - yx."""
-    return multiply(x, y) - multiply(y, x)
+    """Commutator xy - yx, in one pass over the term pairs: each pair adds
+    cx cy [bx, by].  The monomial commutators come from products under the
+    completed rules and are memoized on that rule set; a zero one is
+    skipped.  Most are a single term, [C, B^b C^k A^a] = (q^b - q^a)
+    B^b C^(k+1) A^a, so a coefficient is multiplied once and not summed."""
+    memo = COMPLETED._bracket_memo
+
+    def pairs():
+        for bx, cx in x.terms.items():
+            for by, cy in y.terms.items():
+                z = memo.get((bx, by))
+                if z is None:
+                    u, v = Element._of({bx: RF_ONE}), Element._of({by: RF_ONE})
+                    z = memo[bx, by] = multiply(u, v) - multiply(v, u)
+                if z.terms:
+                    c = cx * cy
+                    for bw, w in z.terms.items():
+                        yield bw, c * w
+
+    return Element.collect(pairs())
 
 
 def ad_power(x: Element, m: int, y: Element) -> Element:
@@ -355,10 +373,20 @@ def adjoint(x: Element) -> Element:
 
 
 def element_power(x: Element, m: int) -> Element:
-    """m-fold product; x^0 is the identity."""
+    """m-fold product; x^0 is the identity.  A power of one term c B^b C^k A^a
+    is again one term (no A meets a B), so a one-term x is squared
+    repeatedly, in O(log m) products.  Any other x is multiplied on from the
+    right m times: squaring a multi-term power multiplies its large
+    coefficients pairwise, and took (A+B)^24 from 0.56 to 2.1 s."""
     if m < 0:
         raise ValueError("element power must be nonnegative")
     out = I
-    for _ in range(m):
-        out = multiply(out, x)
+    if len(x.terms) == 1:
+        for bit in bin(m)[2:]:
+            out = multiply(out, out)
+            if bit == "1":
+                out = multiply(out, x)
+    else:
+        for _ in range(m):
+            out = multiply(out, x)
     return out

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import A, B, BasisWord, C, Element, I, multiply
+from .algebra import A, B, BasisWord, C, Element, I, bracket, element_power, multiply
 from .ratfun import RF_ONE, QPolynomial, RatFun
 from .rewrite import FreeElement, word_str
 
@@ -262,19 +262,22 @@ def parse(text: str):
 _ATOMS = {"A": A, "B": B, "C": C, "I": I}
 
 
-def _walk(node, embed, product):
-    """Evaluate a syntax tree given ``embed(c, letter)``, the scalar c times
-    one of A, B, C or I, and ``product``, the multiplication.  Powers,
-    brackets and ad powers run the loops of ``element_power``, ``bracket``
-    and ``ad_power`` with that product."""
+#: how ``_walk`` evaluates: ``embed(c, letter)`` is the scalar c times one of
+#: A, B, C or I, and the rest are the ring operations
+_Ops = namedtuple("_Ops", "embed product power bracket")
+
+
+def _walk(node, ops: _Ops):
+    """Evaluate a syntax tree with the operations ``ops``; ``ad(x)^n(y)`` is
+    n brackets by x."""
     if isinstance(node, Scalar):
-        return embed(node.value, "I")
+        return ops.embed(node.value, "I")
     if isinstance(node, Atom):
-        return embed(RF_ONE, node.name)
+        return ops.embed(RF_ONE, node.name)
     if isinstance(node, Sum):
         total = None
         for sign, part in node.parts:
-            val = _walk(part, embed, product)
+            val = _walk(part, ops)
             if sign < 0:
                 val = -val
             total = val if total is None else total + val
@@ -282,31 +285,27 @@ def _walk(node, embed, product):
     if isinstance(node, Product):
         out = None
         for f in node.factors:
-            val = _walk(f, embed, product)
-            out = val if out is None else product(out, val)
+            val = _walk(f, ops)
+            out = val if out is None else ops.product(out, val)
         return out
     if isinstance(node, Power):
-        base = _walk(node.base, embed, product)
-        out = embed(RF_ONE, "I")
-        for _ in range(node.exponent):
-            out = product(out, base)
-        return out
+        return ops.power(_walk(node.base, ops), node.exponent)
     if isinstance(node, Bracket):
-        left = _walk(node.left, embed, product)
-        right = _walk(node.right, embed, product)
-        return product(left, right) - product(right, left)
+        return ops.bracket(_walk(node.left, ops), _walk(node.right, ops))
     if isinstance(node, AdPower):
-        operand = _walk(node.operand, embed, product)
-        out = _walk(node.argument, embed, product)
+        operand = _walk(node.operand, ops)
+        out = _walk(node.argument, ops)
         for _ in range(node.exponent):
-            out = product(operand, out) - product(out, operand)
+            out = ops.bracket(operand, out)
         return out
     raise TypeError(f"not a syntax tree node: {node!r}")
 
 
 def eval_ast(node) -> Element:
-    """Evaluate a syntax tree to a normalized element."""
-    return _walk(node, lambda c, name: _ATOMS[name].scale(c), multiply)
+    """Evaluate a syntax tree to a normalized element, through ``multiply``,
+    ``element_power`` and ``bracket``."""
+    # by their module names at each call, which perfbench/tracing.py rebinds
+    return _walk(node, _Ops(lambda c, name: _ATOMS[name].scale(c), multiply, element_power, bracket))
 
 
 def evaluate(text: str) -> Element:
@@ -319,10 +318,9 @@ def eval_ast_free(node) -> FreeElement:
     products are word concatenations and nothing is reduced.  This is the
     input shape for reduction under a caller-chosen rule set.  Raises
     ``ValueError`` before forming a product of more than ``MAX_FREE_PAIRS``
-    word pairs."""
-    return _walk(
-        node, lambda c, name: FreeElement.of_word(() if name == "I" else (name,), c), _free_product
-    )
+    word pairs; a power multiplies its factors on one at a time, from the
+    left, and a bracket forms both products."""
+    return _walk(node, _FREE_OPS)
 
 
 def _free_product(x: FreeElement, y: FreeElement) -> FreeElement:
@@ -335,6 +333,21 @@ def _free_product(x: FreeElement, y: FreeElement) -> FreeElement:
     return FreeElement.collect(
         (wx + wy, cx * cy) for wx, cx in x.terms.items() for wy, cy in y.terms.items()
     )
+
+
+def _free_power(x: FreeElement, m: int) -> FreeElement:
+    out = FreeElement.of_word(())
+    for _ in range(m):
+        out = _free_product(out, x)
+    return out
+
+
+_FREE_OPS = _Ops(
+    lambda c, name: FreeElement.of_word(() if name == "I" else (name,), c),
+    _free_product,
+    _free_power,
+    lambda x, y: _free_product(x, y) - _free_product(y, x),
+)
 
 
 def parse_ratfun(text: str) -> RatFun:

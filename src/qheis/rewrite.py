@@ -154,15 +154,20 @@ def _base_rules():
 
 
 class RuleSet:
-    """An ordered, immutable collection of rewrite rules plus a memo table
-    for word normal forms."""
+    """An ordered, immutable collection of rewrite rules plus memo tables
+    for word normal forms and for monomial products and commutators."""
 
     def __init__(self, name: str, rules):
+        """The memos start empty and grow without bound: ``_nf_memo`` holds
+        word normal forms, and under the completed rules ``_product_memo``
+        holds the closed-form product of each ordered monomial pair that
+        ``algebra.multiply`` met and ``_bracket_memo`` the commutator of each
+        one that ``algebra.bracket`` met."""
         self.name = name
         self.rules = tuple(rules)
         self._nf_memo = {}
-        # closed-form products of monomial pairs, filled by algebra.multiply
         self._product_memo = {}
+        self._bracket_memo = {}
 
     _printed = None
     _completed = None

@@ -8,6 +8,7 @@ from conftest import basis_words_up_to, random_element
 from qheis.algebra import (
     A,
     B,
+    COMPLETED,
     BasisWord,
     C,
     Element,
@@ -112,6 +113,42 @@ def test_ad_power():
         ad_power(A, -1, B)
 
 
+def _multi_term_element(rng):
+    while True:
+        x = random_element(rng)
+        if len(x.terms) > 1:
+            return x
+
+
+def test_bracket_equals_the_cascade_commutator(monkeypatch):
+    memo = {}
+    monkeypatch.setattr(COMPLETED, "_bracket_memo", memo)
+    rng = random.Random(31)
+    cases = [(_multi_term_element(rng), random_element(rng)) for _ in range(40)]
+    wants = [multiply_cascade(x, y) - multiply_cascade(y, x) for x, y in cases]
+    # cold: every call meets monomial pairs the memo has not seen
+    for (x, y), want in zip(cases, wants):
+        pairs = {(bx, by) for bx in x.terms for by in y.terms}
+        assert not pairs <= memo.keys()
+        assert bracket(x, y) == want
+        assert pairs <= memo.keys()
+    # warm: every monomial commutator comes from the memo
+    filled = dict(memo)
+    for (x, y), want in zip(cases, wants):
+        assert bracket(x, y) == want
+    assert memo == filled
+
+
+def test_ad_power_equals_the_cascade_chain():
+    rng = random.Random(37)
+    for g in (C, A, B):
+        y = random_element(rng, max_terms=3, max_deg=2)
+        want = y
+        for m in range(9):
+            assert ad_power(g, m, y) == want, (g, m)
+            want = multiply_cascade(g, want) - multiply_cascade(want, g)
+
+
 def test_adjoint():
     assert adjoint(A) == B
     for k in range(4):
@@ -134,6 +171,17 @@ def test_element_power():
     assert a2b == Element(
         {BasisWord(0, 0, 1): INV, BasisWord(0, 1, 1): -(RatFun.q_power(2) * INV)}
     )
+
+
+def test_element_power_equals_the_left_to_right_product():
+    rng = random.Random(43)
+    for _ in range(40):
+        x = random_element(rng, max_terms=rng.choice([1, 1, 2, 3]), max_deg=2)
+        m = rng.randrange(11 if len(x.terms) == 1 else 6)
+        want = I
+        for _ in range(m):
+            want = multiply(want, x)
+        assert element_power(x, m) == want, (x, m)
 
 
 def test_power_commutation_al_ck():

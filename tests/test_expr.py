@@ -1,6 +1,7 @@
 """Parser, printer, and round-trip properties."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_element, random_qpoly_pair
-from qheis.algebra import A, B, C, BasisWord, Element, I, bracket, multiply
+from qheis import expr
+from qheis.algebra import A, B, C, BasisWord, Element, I, ad_power, bracket, element_power, multiply
 from qheis.expr import (
     AdPower,
     Atom,
     Bracket,
+    MAX_FREE_PAIRS,
     ParseError,
     Power,
     Product,
@@ -163,6 +166,47 @@ def test_eval_ast_free_matches_engine():
     for text in CORPUS + ["(A+B)^0", "[A+C,B]", "ad(B)^2(A*C)"]:
         free = eval_ast_free(parse(text))
         assert alg_normalize(free, RuleSet.completed()) == evaluate(text), text
+
+
+def test_brackets_and_powers_evaluate_through_the_algebra(monkeypatch):
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return bracket(x, y)
+
+    monkeypatch.setattr(expr, "bracket", counted)
+    rng = random.Random(47)
+    for _ in range(30):
+        x = random_element(rng, max_terms=3, max_deg=2)
+        y = random_element(rng, max_terms=3, max_deg=2)
+        calls.clear()
+        assert evaluate(f"[{x},{y}]") == bracket(x, y)
+        assert calls == [(x, y)]
+        n = rng.randrange(4)
+        calls.clear()
+        assert evaluate(f"ad({x})^{n}({y})") == ad_power(x, n, y)
+        assert len(calls) == n
+        m = rng.randrange(5)
+        want = I
+        for _ in range(m):
+            want = multiply(want, x)
+        assert evaluate(f"({x})^{m}") == element_power(x, m) == want
+
+
+def test_a_monomial_power_is_squared():
+    start = time.perf_counter()
+    assert evaluate("C^20000") == Element.monomial(0, 20000, 0)
+    assert evaluate("(2*B^2*C)^100") == Element.monomial(200, 100, 0, RatFun.q_power(9900) * 2**100)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_free_powers_refuse_where_they_did():
+    # a free power multiplies its factors on one at a time: (A+B)^12 forms
+    # 2^11 x 2 word pairs at its last product, and (A+B)^13 twice as many
+    assert len(eval_ast_free(parse("(A+B)^12")).terms) == MAX_FREE_PAIRS
+    with pytest.raises(ValueError, match="8192 word pairs"):
+        eval_ast_free(parse("(A+B)^13"))
 
 
 # primitive denominators with leading coefficient other than 1, so the

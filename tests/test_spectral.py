@@ -11,7 +11,7 @@ import pytest
 
 from conftest import basis_words_up_to, random_element
 from qheis import expr, spectral
-from qheis.algebra import A, B, BasisWord, C, Element, I, element_power, multiply, normalize
+from qheis.algebra import A, B, BasisWord, C, Element, I, bracket, element_power, multiply, normalize
 from qheis.lie import apply_symbolic
 from qheis.ratfun import RF_ONE, RF_ONE_MINUS_Q, RF_Q, PoleError, RatFun, qbracket_value
 from qheis.spectral import (
@@ -515,6 +515,22 @@ def test_block_norm_of_random_elements(q):
         x = random_element(rng)
         if len({bw.b - bw.a for bw in x.terms}) > 1:
             _assert_block_norm(x, q, rng.randint(2, 120))
+
+
+def test_bracket_matrices_agree_with_the_two_products():
+    # a bracket holds its terms in the order it meets the monomial pairs, and
+    # a band sums its terms in that order, so the entries agree to rounding
+    rng = random.Random(53)
+    for _ in range(30):
+        x = random_element(rng, max_terms=3, max_deg=2)
+        y = random_element(rng, max_terms=3, max_deg=2)
+        z, ref = bracket(x, y), multiply(x, y) - multiply(y, x)
+        assert z == ref
+        if z.is_zero():
+            continue
+        got, want = matrix(z, HALF, 40).data, matrix(ref, HALF, 40).data
+        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+        assert math.isclose(op_norm(z, HALF, 40), op_norm(ref, HALF, 40), rel_tol=1e-12)
 
 
 def test_block_norm_edge_cases():
