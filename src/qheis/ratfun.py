@@ -8,28 +8,37 @@ equality is semantic equality:
   ascending degree with ordinary rationals (`fractions.Fraction`) as
   entries and no trailing zero.  It is what ``RatFun.num``/``den`` return
   and what ``RatFun(num, den)`` and JSON input take; it has no arithmetic.
-* ``RatFun`` stores a value as c * N / D: ``c`` is one `Fraction`, and ``N``
-  and ``D`` are primitive integer coefficient tuples (ascending degree,
-  content 1, positive leading coefficient) with gcd(N, D) = 1.  That triple
-  is unique for each rational function and is all a ``RatFun`` stores.
-  Its public face, the reduced fraction ``num``/``den`` with a *monic*
-  denominator, is read from the triple on each use, with no cache.
+* ``RatFun`` stores a value as (cn / cd) * N / D: the content cn / cd is a
+  pair of integers in lowest terms with cd > 0 and cn = 0 only for zero, and
+  ``N`` and ``D`` are primitive integer coefficient tuples (ascending degree,
+  content 1, positive leading coefficient) with gcd(N, D) = 1.  That
+  quadruple is unique for each rational function and is all a ``RatFun``
+  stores.  Its public face, the reduced fraction ``num``/``den`` with a
+  *monic* denominator, is read from it on each use, with no cache.
 * ``LinComb`` is a finite linear combination with ``RatFun`` coefficients
   over hashable keys, stored as a term map with no zero coefficient.  The
   engine's algebra elements, free word sums, Laurent images and ket images
   are its subclasses, and ``LinComb.collect`` is the one place where terms
   are summed.
 
-All arithmetic is fraction-free and runs on the integer tuples, by
-module-private functions; it computes a gcd only where a common factor can
-appear.  A product cross-cancels gcd(N1, D2) and gcd(N2, D1), and by
-Gauss's lemma nothing else can cancel; a sum over one denominator D takes
-one gcd of the new numerator with D; other sums follow Henrici, splitting
-off g = gcd(D1, D2) so that only g can share a factor with the new
-numerator; powers need no gcd.  The gcd itself splits off the common power
-of q and then runs a primitive polynomial remainder sequence over the
-integers (Collins 1967; Brown & Traub 1971).  ``QPolynomial.gcd`` uses the
-same routine.
+All arithmetic is fraction-free and runs on the integers and integer tuples,
+by module-private functions; it computes a gcd only where a common factor
+can appear.  A product cross-cancels gcd(N1, D2) and gcd(N2, D1), and by
+Gauss's lemma nothing else can cancel; the contents cross-cancel the same
+way, gcd(cn1, cd2) and gcd(cn2, cd1) (Knuth, TAOCP vol. 2, 4.5.1).  A sum
+over one denominator D takes one gcd of the new numerator with D; other
+sums follow Henrici, splitting off g = gcd(D1, D2) so that only g can share
+a factor with the new numerator; the new content then takes one integer
+gcd.  Powers need no gcd.  The gcd itself splits off the common power of q
+and then runs a primitive polynomial remainder sequence over the integers
+(Collins 1967; Brown & Traub 1971).  ``QPolynomial.gcd`` uses the same
+routine.
+
+``Fraction`` appears only at the boundary, where values enter or leave as
+rational numbers: the coefficients of ``QPolynomial`` (so ``num``, ``den``
+and polynomial input), the value of ``evaluate``, and ``==`` against a
+``Fraction``.  An int scalar enters without one, and a constant still
+hashes as the number it equals.
 
 Coefficients are real rational functions throughout; complex conjugation
 acts as the identity on them.
@@ -39,7 +48,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, frexp, gcd, lcm, ldexp, sqrt
-from sys import float_info
+from sys import float_info, hash_info
 
 
 class PoleError(ArithmeticError):
@@ -53,6 +62,27 @@ def _as_fraction(c) -> Fraction:
     if isinstance(c, int):
         return Fraction(c)
     raise TypeError(f"expected an exact rational coefficient, got {type(c).__name__}")
+
+
+def _as_pair(c) -> tuple:
+    """An int or a ``Fraction`` as (numerator, denominator) in lowest terms
+    with a positive denominator."""
+    if isinstance(c, int):
+        return int(c), 1
+    if isinstance(c, Fraction):
+        return c.numerator, c.denominator
+    raise TypeError(f"expected an exact rational coefficient, got {type(c).__name__}")
+
+
+def _pair_hash(cn: int, cd: int) -> int:
+    """hash(Fraction(cn, cd)) of a reduced pair, by Python's rule for the
+    hash of a rational number, without building the ``Fraction``."""
+    try:
+        h = hash(hash(abs(cn)) * pow(cd, -1, hash_info.modulus))
+    except ValueError:  # cd is a multiple of the modulus
+        h = hash_info.inf
+    h = h if cn >= 0 else -h
+    return -2 if h == -1 else h
 
 
 # -- integer polynomials: ascending int tuples with no trailing zero ----------
@@ -251,12 +281,15 @@ class QPolynomial:
         return not self.coeffs
 
     def _integral(self):
-        """(c, P) with self = c * P for a primitive integer polynomial P with
-        positive leading coefficient; self is nonzero."""
+        """(cn, cd, P) with self = (cn / cd) * P for a primitive integer
+        polynomial P with positive leading coefficient, cn / cd in lowest
+        terms and cd > 0; self is nonzero."""
         cs = self.coeffs
         den = lcm(*(x.denominator for x in cs))
         content, prim = _primitive(tuple(x.numerator * (den // x.denominator) for x in cs))
-        return Fraction(content, den), prim
+        # a coefficient whose denominator holds the full power of a prime p
+        # of den scales to a numerator prime to p, so the pair is reduced
+        return content, den, prim
 
     def gcd(self, other: "QPolynomial") -> "QPolynomial":
         """Monic gcd; the gcd with the zero polynomial is the other
@@ -264,9 +297,9 @@ class QPolynomial:
         a, b = (other, self) if self.is_zero() else (self, other)
         if a.is_zero():
             return a
-        g = a._integral()[1]
+        g = a._integral()[2]
         if not b.is_zero():
-            g = _gcd(g, b._integral()[1])
+            g = _gcd(g, b._integral()[2])
         return QPolynomial(tuple(Fraction(x, g[-1]) for x in g))
 
     def __eq__(self, other) -> bool:
@@ -295,19 +328,29 @@ _new = object.__new__
 _set = object.__setattr__
 
 
-def _ratfun(c: Fraction, n: tuple, d: tuple) -> "RatFun":
-    """Wrap a canonical triple (see the module docstring)."""
+def _ratfun(cn: int, cd: int, n: tuple, d: tuple) -> "RatFun":
+    """Wrap a canonical quadruple (see the module docstring)."""
     out = _new(RatFun)
-    _set(out, "_c", c)
+    _set(out, "_cn", cn)
+    _set(out, "_cd", cd)
     _set(out, "_n", n)
     _set(out, "_d", d)
     return out
 
 
-def _product(c: Fraction, n1: tuple, d1: tuple, n2: tuple, d2: tuple) -> "RatFun":
-    """c * (n1/d1) * (n2/d2) for two reduced fractions."""
-    if not c:
+def _product(a: int, b: int, n1: tuple, d1: tuple, c: int, d: int, n2: tuple, d2: tuple) -> "RatFun":
+    """(a/b) (n1/d1) (c/d) (n2/d2) for two reduced fractions of integers
+    with positive denominators and two reduced fractions of polynomials."""
+    if not a or not c:
         return RF_ZERO
+    if d != 1:
+        g = gcd(a, d)
+        if g != 1:
+            a, d = a // g, d // g
+    if b != 1:
+        g = gcd(c, b)
+        if g != 1:
+            c, b = c // g, b // g
     if n1 != _ONE and d2 != _ONE:
         g = _gcd(n1, d2)
         if g != _ONE:
@@ -316,7 +359,16 @@ def _product(c: Fraction, n1: tuple, d1: tuple, n2: tuple, d2: tuple) -> "RatFun
         g = _gcd(n2, d1)
         if g != _ONE:
             n2, d1 = _divexact(n2, g), _divexact(d1, g)
-    return _ratfun(c, _mul(n1, n2), _mul(d1, d2))
+    return _ratfun(a * c, b * d, _mul(n1, n2), _mul(d1, d2))
+
+
+def _quotient(a: int, b: int, n1: tuple, d1: tuple, c: int, d: int, n2: tuple, d2: tuple) -> "RatFun":
+    """(a/b) (n1/d1) / ((c/d) (n2/d2)) for c != 0 and the reduced fractions
+    of ``_product``."""
+    # times the reciprocal d/c, with the sign of c moved up
+    if c < 0:
+        c, d = -c, -d
+    return _product(a, b, n1, d1, d, c, d2, n2)
 
 
 class RatFun:
@@ -324,11 +376,15 @@ class RatFun:
 
     The canonical representative is unique, so ``==`` over ``RatFun`` is
     equality in the field of rational functions.  The value is stored only
-    as the triple c * N / D of the module docstring; ``num``, ``den``, the
-    text and the sort key are computed from it on each use, with no cache.
+    as the quadruple (cn / cd) * N / D of the module docstring, all integers;
+    ``num``, ``den``, the text and the sort key are computed from it on each
+    use, with no cache.  ``Fraction`` appears only where a value leaves or
+    enters as rational numbers: the ``QPolynomial`` coefficients of ``num``,
+    ``den`` and ``RatFun(num, den)``, the value of ``evaluate``, and ``==``
+    against a ``Fraction``; a constant hashes as the number it equals.
     """
 
-    __slots__ = ("_c", "_n", "_d")
+    __slots__ = ("_cn", "_cd", "_n", "_d")
 
     def __new__(cls, num, den=_POLY_ONE):
         num, den = _poly(num), _poly(den)
@@ -336,26 +392,25 @@ class RatFun:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
             return RF_ZERO
-        cn, n = num._integral()
-        cd, d = den._integral()
-        return _product(cn / cd, n, _ONE, _ONE, d)
+        return _quotient(*num._integral(), _ONE, *den._integral(), _ONE)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFun is immutable")
 
     def __reduce__(self):
-        return _ratfun, (self._c, self._n, self._d)
+        return _ratfun, (self._cn, self._cd, self._n, self._d)
 
     def _monic_coeffs(self):
-        """Coefficients of ``num`` and ``den``, (c / lead(D)) * N and
-        D / lead(D), read from the triple: ints where they are integral,
+        """Coefficients of ``num`` and ``den``, (cn / (cd lead(D))) * N and
+        D / lead(D), read from the quadruple: ints where they are integral,
         ``Fraction`` values otherwise."""
         n, d = self._n, self._d
+        sn, sd = self._cn, self._cd
         lead = d[-1]
         if lead != 1:
             d = tuple(_exact_quotient(x, lead) for x in d)
-        scale = self._c / lead
-        sn, sd = scale.numerator, scale.denominator
+            g = gcd(sn, lead)
+            sn, sd = sn // g, sd * (lead // g)
         if sd == 1:
             return tuple(sn * x for x in n), d
         return tuple(_exact_quotient(sn * x, sd) for x in n), d
@@ -380,21 +435,22 @@ class RatFun:
 
     @classmethod
     def from_fraction(cls, c) -> "RatFun":
-        c = _as_fraction(c)
-        return _ratfun(c, _ONE, _ONE) if c else RF_ZERO
+        """The constant c, an int or a ``Fraction``."""
+        cn, cd = _as_pair(c)
+        return _ratfun(cn, cd, _ONE, _ONE) if cn else RF_ZERO
 
     @classmethod
     def q_power(cls, e: int) -> "RatFun":
         """q^e for any integer e (negative exponents allowed)."""
         if e >= 0:
-            return _ratfun(Fraction(1), (0,) * e + _ONE, _ONE)
-        return _ratfun(Fraction(1), _ONE, (0,) * -e + _ONE)
+            return _ratfun(1, 1, (0,) * e + _ONE, _ONE)
+        return _ratfun(1, 1, _ONE, (0,) * -e + _ONE)
 
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._cn
 
     def is_one(self) -> bool:
-        return self._c == 1 and self._n == _ONE and self._d == _ONE
+        return self._cn == 1 and self._cd == 1 and self._n == _ONE and self._d == _ONE
 
     @staticmethod
     def _coerce(other):
@@ -408,15 +464,15 @@ class RatFun:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        c1, c2 = self._c, other._c
+        c1, c2 = self._cn, other._cn
         if not c1:
             return other
         if not c2:
             return self
-        # c1 + c2 over their least common denominator: (x1 + x2) / den
-        r1, r2 = c1.denominator, c2.denominator
+        # c1/r1 + c2/r2 over their least common denominator: (x1 + x2) / den
+        r1, r2 = self._cd, other._cd
         k = gcd(r1, r2)
-        x1, x2, den = c1.numerator * (r2 // k), c2.numerator * (r1 // k), r1 // k * r2
+        x1, x2, den = c1 * (r2 // k), c2 * (r1 // k), r1 // k * r2
         n1, d1, n2, d2 = self._n, self._d, other._n, other._d
         if d1 == d2:
             s = _combine(x1, n1, x2, n2)
@@ -434,12 +490,13 @@ class RatFun:
             g = _gcd(s, h)
             if g != _ONE:
                 s, d = _divexact(s, g), _divexact(d, g)
-        return _ratfun(Fraction(content, den), s, d)
+        k = gcd(content, den)
+        return _ratfun(content // k, den // k, s, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFun":
-        return _ratfun(-self._c, self._n, self._d) if self._c else self
+        return _ratfun(-self._cn, self._cd, self._n, self._d) if self._cn else self
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -457,7 +514,7 @@ class RatFun:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _product(self._c * other._c, self._n, self._d, other._n, other._d)
+        return _product(self._cn, self._cd, self._n, self._d, other._cn, other._cd, other._n, other._d)
 
     __rmul__ = __mul__
 
@@ -465,9 +522,9 @@ class RatFun:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if other.is_zero():
+        if not other._cn:
             raise ZeroDivisionError("division by the zero rational function")
-        return _product(self._c / other._c, self._n, self._d, other._d, other._n)
+        return _quotient(self._cn, self._cd, self._n, self._d, other._cn, other._cd, other._n, other._d)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -483,9 +540,9 @@ class RatFun:
             return self.inverse() ** (-e)
         if e == 0:
             return RF_ONE
-        if not self._c:
+        if not self._cn:
             return self
-        return _ratfun(self._c**e, _pow(self._n, e), _pow(self._d, e))
+        return _ratfun(self._cn**e, self._cd**e, _pow(self._n, e), _pow(self._d, e))
 
     def evaluate(self, q0) -> Fraction:
         """Exact evaluation at a rational point; raises ``PoleError`` at a
@@ -503,20 +560,25 @@ class RatFun:
             nv *= v**shift
         else:
             dv *= v**-shift
-        return Fraction(self._c.numerator * nv, self._c.denominator * dv)
+        return Fraction(self._cn * nv, self._cd * dv)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RatFun):
-            return self._c == other._c and self._n == other._n and self._d == other._d
+            return (
+                self._cn == other._cn and self._cd == other._cd and self._n == other._n and self._d == other._d
+            )
         if isinstance(other, (int, Fraction)):
-            return self._c == other and len(self._n) <= 1 and self._d == _ONE
+            return (self._cn, self._cd) == _as_pair(other) and len(self._n) <= 1 and self._d == _ONE
         return NotImplemented
 
     def __hash__(self) -> int:
-        # a constant hashes as the number it equals
+        # a constant hashes as the number it equals; otherwise the hash is
+        # that of (Fraction(cn, cd), N, D), since a tuple hash combines the
+        # hashes of its items and the hash of a rational is a fixed point
+        h = _pair_hash(self._cn, self._cd)
         if len(self._n) <= 1 and self._d == _ONE:
-            return hash(self._c)
-        return hash((self._c, self._n, self._d))
+            return h
+        return hash((h, self._n, self._d))
 
     def sort_key(self):
         return self._monic_coeffs()
@@ -531,8 +593,8 @@ class RatFun:
         return f"RatFun({self})"
 
 
-RF_ZERO = _ratfun(Fraction(0), (), _ONE)
-RF_ONE = _ratfun(Fraction(1), _ONE, _ONE)
+RF_ZERO = _ratfun(0, 1, (), _ONE)
+RF_ONE = _ratfun(1, 1, _ONE, _ONE)
 RF_Q = RatFun.q_power(1)
 #: 1 - q, the denominator that pervades the deformed relations.
 RF_ONE_MINUS_Q = RatFun(QPolynomial((1, -1)))
@@ -540,7 +602,7 @@ RF_ONE_MINUS_Q = RatFun(QPolynomial((1, -1)))
 
 def over_one_minus_q(p: list, v: int, m: int) -> RatFun:
     """q^v P(q) / (1 - q)^m for integer coefficients P (ascending) and any
-    integer v, built as its canonical triple with no gcd: P has no factor
+    integer v, built as its canonical quadruple with no gcd: P has no factor
     but q - 1 to share with the denominator, and those are divided out
     synthetically while P(1) = 0."""
     p = list(p)
@@ -567,7 +629,7 @@ def over_one_minus_q(p: list, v: int, m: int) -> RatFun:
         n = (0,) * v + n
     elif v < 0:
         d = (0,) * -v + d
-    return _ratfun(Fraction(sign * content), n, d)
+    return _ratfun(sign * content, 1, n, d)
 
 
 def as_ratfun(value) -> RatFun:
@@ -582,7 +644,7 @@ def qbracket(n: int) -> RatFun:
     """The q-integer 1 + q + ... + q^(n-1) = (1 - q^n)/(1 - q); 0 for n = 0."""
     if n < 0:
         raise ValueError("qbracket is defined for nonnegative integers")
-    return _ratfun(Fraction(1), (1,) * n, _ONE) if n else RF_ZERO
+    return _ratfun(1, 1, (1,) * n, _ONE) if n else RF_ZERO
 
 
 def qbracket_value(n: int, q0) -> Fraction:

@@ -1,6 +1,7 @@
 """Normal forms, products, and the independent multiplication oracle."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -24,7 +25,7 @@ from qheis.algebra import (
     normalize,
     reduce_word,
 )
-from qheis.ratfun import RF_ONE_MINUS_Q, RF_Q, RatFun
+from qheis.ratfun import RF_ONE_MINUS_Q, RF_Q, QPolynomial, RatFun
 
 INV = RatFun.one() / RF_ONE_MINUS_Q
 ONE = RatFun.one()
@@ -182,6 +183,37 @@ def test_element_power_equals_the_left_to_right_product():
         for _ in range(m):
             want = multiply(want, x)
         assert element_power(x, m) == want, (x, m)
+
+
+def test_the_exact_product_path_builds_no_fraction(monkeypatch):
+    rng = random.Random(47)
+    xs = [random_element(rng) for _ in range(8)]
+    xs.append(
+        Element({BasisWord(0, 1, 2): RatFun.from_fraction(Fraction(-3, 7)), BasisWord(1, 0, 0): 5 / RF_ONE_MINUS_Q})
+    )
+    # negative, fractional and n/(1 - q) contents
+    leads = [(c.num.coeffs[-1], c.den) for x in xs for c in x.terms.values()]
+    assert any(n < 0 for n, _ in leads)
+    assert any(n.denominator > 1 for n, _ in leads)
+    assert any(d == QPolynomial((-1, 1)) for _, d in leads)
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    # cold memos, so the closed-form monomial products and commutators run too
+    monkeypatch.setattr(COMPLETED, "_product_memo", {})
+    monkeypatch.setattr(COMPLETED, "_bracket_memo", {})
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    for x, y in zip(xs, xs[1:]):
+        multiply(x.scale(-3), y)
+        bracket(x, y.scale(2))
+        element_power(x, 3)
+        ad_power(x, 2, y)
+    monkeypatch.undo()
+    assert built == []
 
 
 def test_power_commutation_al_ck():

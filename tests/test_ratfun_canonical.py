@@ -20,7 +20,7 @@ def polynomials(draw, nonzero=True):
     cs = draw(st.lists(coefficient, min_size=1, max_size=4))
     if nonzero and not any(cs):
         cs[-1] = 1
-    c = Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    c = Fraction(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 6)))
     a, m, e = draw(st.integers(0, 2)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
     return QPolynomial(poly_mul([c * x for x in cs], (0,) * a + (1,), *[(1,) + (0,) * (m - 1) + (-1,)] * e))
 
@@ -51,10 +51,18 @@ def test_common_factors_cancel(num, den, h):
 
 
 @BUDGET
-@given(ratfuns(), ratfuns())
-def test_arithmetic_round_trips(x, y):
+@given(ratfuns(), ratfuns(), st.integers(-6, 6), st.fractions(-6, 6, max_denominator=6))
+def test_arithmetic_round_trips(x, y, n, f):
     assert x + y - y == x
     assert hash(x + y - y) == hash(x)
     if not y.is_zero():
         assert (x * y) / y == x
         assert hash((x * y) / y) == hash(x)
+    # every result is the canonical form that its num and den rebuild, so a
+    # content left unreduced or with a negative denominator is caught here
+    results = [x + y, x - y, x * y, -x, x**3, x * n, x * f]
+    if not y.is_zero():
+        results.append(x / y)
+    for z in results:
+        assert RatFun(z.num, z.den) == z
+        assert hash(RatFun(z.num, z.den)) == hash(z)
