@@ -14,8 +14,8 @@ to q^(k(n-a)) sqrt({n-a+1}_q ... {n-a+max(a,b)}_q) v_(n-a+b), so bands are
 filled directly rather than through the symbolic ket action, one band at a
 time over its own columns.  ``matrix`` stores each band as one strided
 diagonal of the dense array, the decay report sums squares band by band,
-and ``apply_numeric`` and the one-band norms read a per-column view of the
-same fill.  All exact work is on plain unreduced Python ints and takes no
+and ``apply_numeric`` and the one-band norms take their entries straight
+from the bands.  All exact work is on plain unreduced Python ints and takes no
 gcd.  With q0 = u/v, each monomial coefficient is evaluated at q0 once per
 call; the terms of a band keep integer numerators over one integer
 denominator, stepped by powers of u and v from column to column; and the
@@ -81,6 +81,17 @@ Rounding is monotone, so the one correctly rounded entry there is the
 largest of all N, bit for bit.  When h >= N no entry lies inside.  Such a
 term, and a band with several C-powers, which has no such ratio, are
 scanned column by column, with the rows >= N left out of the fill.
+
+The eigenvalues q^(kn) of C^k are rounded without the exact power, whose
+v^(kn) has kn bit_length(v) bits, past 10^8 for k = 389474 at q = 9999/10000.
+Square-and-multiply steps a lower and an upper bound of q^e with
+``_POWER_BITS`` bits each, the lower rounded down and the upper up after
+each step.  The bounds of q itself are 2^-127 apart relative to q, and
+each rounding adds as much again, doubled by every later squaring, so the
+bounds of q^e stay within a relative 5e 2^-127 of each other.  Rounding to
+nearest is monotone: where both bounds round to the same double, q^e
+rounds to it too.  Only a power that close to a rounding boundary takes
+the exact power, within ``MAX_RADICAND_BITS``.
 """
 
 from __future__ import annotations
@@ -110,8 +121,12 @@ MAX_DIM = 2000
 #: q = u/v, of the operands of the one division that rounds an entry of the
 #: band fill: column m + a of a band B^b C^k A^a (h = a + b, K the largest k
 #: among its terms) multiplies out a radicand of h q-integers, and its running
-#: numerators and denominator, squared, grow by 2 K bit_length(v) bits a column
+#: numerators and denominator, squared, grow by 2 K bit_length(v) bits a column;
+#: it also bounds the e bit_length(v) bits of the exact power q^e that
+#: ``_power_float`` falls back to
 MAX_RADICAND_BITS = 2_000_000
+#: bits of the bounds from which ``_power_float`` rounds a power of q
+_POWER_BITS = 128
 #: number of doubles in one block of window sums of ``_window_means``
 _WINDOW_BLOCK = 1 << 15
 
@@ -231,27 +246,14 @@ def _bands(x: Element, q0: Fraction, start: int, stop: int, rows: float = math.i
         ]
 
 
-def _columns(x: Element, q0: Fraction, start: int, stop: int, rows: float = math.inf) -> list:
-    """The numeric images of v_n under x for n in [start, stop), as maps
-    from target index to value without the zero and purged entries, read
-    off ``_bands`` with the same arguments."""
-    cols = [{} for _ in range(start, stop)]
-    for b, a, m0, entries in _bands(x, q0, start, stop, rows):
-        # b*a = 0, so distinct (b, a) send v_n to distinct targets n - a + b
-        # and each target holds exactly one merged scalar
-        for m, value in enumerate(entries, m0):
-            if value:
-                cols[m + a - start][m + b] = value
-    return cols
-
-
 def apply_numeric(x: Element, n: int, q0) -> dict:
     """Numeric image of basis vector v_n under x at q0, one rounding per
     merged scalar.  Entries below the purge threshold are dropped."""
     if n < 0:
         raise ValueError("basis index must be nonnegative")
     q0 = NumericQ.coerce(q0)
-    return _columns(x, q0.value, n, n + 1)[0]
+    # b*a = 0, so distinct (b, a) send v_n to distinct targets n - a + b
+    return {n - a + b: e[0] for b, a, _, e in _bands(x, q0.value, n, n + 1) if e[0]}
 
 
 class TruncatedMatrix:
@@ -308,11 +310,11 @@ def op_norm(x: Element, q0, N: int) -> float:
     the largest LAPACK SVD of the residue-class blocks (see the module notes)."""
     if N < 2:
         raise ValueError("norm estimation needs dimension at least 2")
+    _check_dim(N)
+    q0 = NumericQ.coerce(q0)
     offsets = {bw.b - bw.a for bw in x.terms}
     if len(offsets) <= 1:
         # one band: at most one nonzero in each row and column
-        _check_dim(N)
-        q0 = NumericQ.coerce(q0)
         start, stop = 0, N
         if len(x.terms) == 1:
             (bw,) = x.terms
@@ -321,8 +323,7 @@ def op_norm(x: Element, q0, N: int) -> float:
                 # column m + a holds the entry of v_(m+b), inside for m < N - h
                 start = _peak(q0.value, bw.k, h, N - h - 1) + bw.a
                 stop = start + 1
-        cols = _columns(x, q0.value, start, stop, N)
-        return max((abs(v) for col in cols for v in col.values()), default=0.0)
+        return max((abs(v) for *_, entries in _bands(x, q0.value, start, stop, N) for v in entries), default=0.0)
     data = matrix(x, q0, N).data
     import numpy as np
 
@@ -435,25 +436,40 @@ class SpectrumFacts(
     __slots__ = ()
 
 
-def _underflows(q0: Fraction, e: int) -> bool:
-    """Whether q0^e < 2^-1075, so that its double is 0.0, shown from bit
-    lengths without the power.  With q0 = u/v and g = bl(v^t) - bl(u^t),
-    2^(-g-1) < q0^t < 2^(1-g), and q0^(t (e//t + 1)) < q0^e <= (q0^t)^(e//t).
-    So (g - 1)(e//t) >= 1075 shows underflow, and (g + 1)(e//t + 1) <= 1074
-    shows that q0^e is at least the least subnormal.  t doubles until one of
-    them holds: g about doubles as e//t halves, so the bounds tighten, which
-    q0 near 1 needs.  The bounds are off by a factor of about 2^(2e/t), so
-    only an e with q0^e that close to 2^-1075 takes t near e, where u^t and
-    v^t are as large as the power itself."""
-    u, v, t = q0.numerator, q0.denominator, 1
-    while t <= e:
-        g = v.bit_length() - u.bit_length()
-        if (g - 1) * (e // t) >= 1075:
-            return True
-        if (g + 1) * (e // t + 1) <= 1074:
-            return False
-        u, v, t = u * u, v * v, 2 * t
-    return False
+def _scaled_float(m: int, exp: int) -> float:
+    """m * 2^exp for exp <= 0, correctly rounded: 0.0 when it lies below
+    2^-1075, else one int/int true division by at most 2^(1075 + bl(m))."""
+    if m.bit_length() + exp <= -1075:
+        return 0.0
+    return m / (1 << -exp)
+
+
+def _power_float(q0: Fraction, e: int) -> float:
+    """float(q0 ** e) for q0 in (0, 1), correctly rounded from the bounds
+    lo * 2^x <= q0^e <= hi * 2^x, or from the exact power where they round
+    apart (see the module notes)."""
+    u, v = q0.numerator, q0.denominator
+    shift = _POWER_BITS + v.bit_length() - u.bit_length()
+    base_lo, base_hi = (u << shift) // v, -(-(u << shift) // v)
+    lo = hi = 1
+    x = 0
+    for digit in bin(e)[2:]:
+        lo, hi, x = lo * lo, hi * hi, 2 * x
+        if digit == "1":
+            lo, hi, x = lo * base_lo, hi * base_hi, x - shift
+        drop = max(hi.bit_length() - _POWER_BITS, 0)
+        lo, hi, x = lo >> drop, -(-hi >> drop), x + drop
+    value = _scaled_float(lo, x)
+    if value == _scaled_float(hi, x):
+        return value
+    bits = e * v.bit_length()
+    if bits > MAX_RADICAND_BITS:
+        raise ValueError(f"q^{e} needs an exact power of about {bits} bits, over MAX_RADICAND_BITS = {MAX_RADICAND_BITS}")
+    return float(q0**e)
+
+
+#: the point, approximate point and compression spectrum of each shift
+_SHIFT_SPECTRA = {"B": ("empty", "circle", "open-disk"), "A": ("open-disk", "closed-disk", "empty")}
 
 
 def spectrum_facts(op: str, k: int = 1, q0=None) -> SpectrumFacts:
@@ -464,52 +480,30 @@ def spectrum_facts(op: str, k: int = 1, q0=None) -> SpectrumFacts:
     compression spectrum; C^k has eigenvalues q^(kn) with one-dimensional
     eigenspaces and their closure as full spectrum.  Only C takes a power
     k; A or B with k != 1 raises ``ValueError``."""
-    if op in ("A", "B") and k != 1:
+    if op in _SHIFT_SPECTRA and k != 1:
         raise ValueError(f"operator {op} takes no power: k must be 1, got {k}")
-    radius_sq = RF_ONE / RF_ONE_MINUS_Q
     numeric = None
     if q0 is not None:
         q0 = NumericQ.coerce(q0)
         numeric = 1.0 / math.sqrt(1.0 - float(q0))
-    if op == "B":
-        return SpectrumFacts(
-            operator="B",
-            k=1,
-            radius_sq=radius_sq,
-            point_spectrum="empty",
-            approx_point_spectrum="circle",
-            compression_spectrum="open-disk",
-            radius_numeric=numeric,
-        )
-    if op == "A":
-        return SpectrumFacts(
-            operator="A",
-            k=1,
-            radius_sq=radius_sq,
-            point_spectrum="open-disk",
-            approx_point_spectrum="closed-disk",
-            compression_spectrum="empty",
-            radius_numeric=numeric,
-        )
-    if op == "C":
-        if k < 1:
-            raise ValueError("diagonal powers need k >= 1")
-        eigenvalues = None
-        if q0 is not None:
-            eigenvalues = tuple(0.0 if _underflows(q0.value, k * n) else float(q0.value ** (k * n)) for n in range(20))
-        return SpectrumFacts(
-            operator="C",
-            k=k,
-            radius_sq=RF_ONE,
-            point_spectrum="eigenvalue-list",
-            approx_point_spectrum="closure-of-eigenvalues",
-            compression_spectrum="eigenvalue-list",
-            eigenvalue_formula=f"q^({k}*n)",
-            eigenspace="one-dimensional, spanned by the basis vector of index n",
-            radius_numeric=1.0 if q0 is not None else None,
-            eigenvalues=eigenvalues,
-        )
-    raise ValueError(f"unknown operator tag {op!r} (expected 'A', 'B', or 'C')")
+    if op in _SHIFT_SPECTRA:
+        return SpectrumFacts(op, 1, RF_ONE / RF_ONE_MINUS_Q, *_SHIFT_SPECTRA[op], radius_numeric=numeric)
+    if op != "C":
+        raise ValueError(f"unknown operator tag {op!r} (expected 'A', 'B', or 'C')")
+    if k < 1:
+        raise ValueError("diagonal powers need k >= 1")
+    return SpectrumFacts(
+        operator="C",
+        k=k,
+        radius_sq=RF_ONE,
+        point_spectrum="eigenvalue-list",
+        approx_point_spectrum="closure-of-eigenvalues",
+        compression_spectrum="eigenvalue-list",
+        eigenvalue_formula=f"q^({k}*n)",
+        eigenspace="one-dimensional, spanned by the basis vector of index n",
+        radius_numeric=None if q0 is None else 1.0,
+        eigenvalues=None if q0 is None else tuple(_power_float(q0.value, k * n) for n in range(20)),
+    )
 
 
 class DecayReport(namedtuple("DecayReport", "q0 tail verdict")):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -387,6 +388,19 @@ def test_spectrum_of_a_huge_diagonal_power_is_fast(capsys, q):
     assert main(["spectrum", "--op", "C", "--k", "10000000", "--q", q, "--json"]) == 0
     assert time.perf_counter() - start < 2.0
     assert json.loads(capsys.readouterr().out)["result"]["eigenvalues"] == [1.0] + [0.0] * 19
+
+
+@pytest.mark.parametrize("k", [50000, 389474])
+def test_spectrum_near_one_is_fast(capsys, k):
+    # the eigenvalues pass from normal doubles (k = 50000) into the
+    # subnormal range (k = 389474, at n = 19) and are not 0.0; the exact
+    # powers behind them have up to 10^8 bits
+    start = time.perf_counter()
+    assert main(["spectrum", "--op", "C", "--k", str(k), "--q", "9999/10000", "--json"]) == 0
+    assert time.perf_counter() - start < 2.0
+    eigenvalues = json.loads(capsys.readouterr().out)["result"]["eigenvalues"]
+    assert eigenvalues[1] == float(Fraction(9999, 10000) ** k)
+    assert 0.0 < eigenvalues[19] < eigenvalues[18]
 
 
 def builds_a_matrix(argv) -> bool:

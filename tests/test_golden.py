@@ -4,7 +4,10 @@ The digests were taken before brackets were summed from memoized monomial
 commutators (the identity-suite report) and before a ``RatFun`` content was
 stored as a pair of integers instead of a ``Fraction`` (the ``normalize`` and
 ``bracket`` reports, whose coefficients carry negative, fractional and
-``1/(1 - q)`` contents, and the hash values).  Rendering sorts terms, so
+``1/(1 - q)`` contents, and the hash values), and before the spectral lab
+read its columns straight off the band fill and rounded the eigenvalues of
+``spectrum --op C`` from bounds on the power (the numeric ``apply``, the
+one-band ``norm`` and the ``spectrum`` reports).  Rendering sorts terms, so
 neither the bracket memo nor the order in which a bracket meets its terms may
 show in the output.  Hashes of ints and of tuples of ints do not depend on
 the hash seed, and a constant hashes as the number it equals; CI runs this
@@ -22,6 +25,15 @@ from qheis.ratfun import RF_ONE_MINUS_Q, QPolynomial, RatFun, over_one_minus_q, 
 NORMALIZE = ["normalize", "-3/7*A^4*B^2 + 5/2*q^3/(1-q)*C^2*B - 1/(1-2*q)*A"]
 BRACKET = ["bracket", "2/3*A - q*C^2", "B^2 - 5/(1-q)*C*A"]
 IDENTITIES = ["verify", "identities", "--kmax", "8", "--lmax", "6"]
+APPLY = ["apply", "-3/7*B^2*C + 5/(1-q)*C^2*A - 2/3*q^2/(1-q)^2*C^3 + 4*B*C", "--n", "5", "--q", "1/3"]
+#: one term, whose norm is read from its peak column
+NORM_PEAK = ["norm", "(-5/3)*q^2/(1-q)*B^2*C^3", "--q", "1/3", "--dim", "60"]
+#: one band with several C-powers, whose norm is read from all its columns
+NORM_BAND = ["norm", "4*B^2*C - 3*B^2*C^2 - 1/(1-q)*B^2*C^5", "--q", "1/3", "--dim", "60"]
+
+
+def spectrum(op, *argv):
+    return cli("spectrum", "--op", op, *argv, "--json")
 
 #: constants, negative and fractional contents, q-powers and poles
 HASH_CORPUS = [
@@ -69,8 +81,32 @@ def ratfun_hashes(capsys):
         (cli(*BRACKET), "8f9e289195653e9696256fe1ee606ca617f7e3917a8471de9ba9fdf020a89d93"),
         (cli(*BRACKET, "--json"), "41fcc760a846b4e5544212747605836a5d3a2976061696e9ee4ca6956127d316"),
         (ratfun_hashes, "a87cb12716f1f1079ca408a7f0f9ecd6189677ca700358a8476e2ad2e8181da3"),
+        (cli(*APPLY), "7f1e1e3eb6b0c37f70821a7c85b1d1b8fbd90a9b63df1767c9bb4f08d8e15c90"),
+        (cli(*APPLY, "--json"), "7a942c9912f737431b08a55e6cb959ad979042b987dfaa4bf4dd406a42d70e57"),
+        (cli(*NORM_PEAK), "a38a199bffaf382dfadc9b37a4aeb9df1b29127c6114f3acae977812fb0e9be4"),
+        (cli(*NORM_BAND), "ba30bb175ee731158f6217ce13cf88e9b4304ccf89564c2179b87045ec70965d"),
+        (spectrum("A", "--q", "1/3"), "c9b448c21a4405db38268ba06cf19df407b63ab91bd48a67acb9d3a7950375be"),
+        (spectrum("B", "--q", "1/3"), "9d7400ee1810720c588a46ec44e77db336e58eec41e2ded4e5df7ac9cc4bd41b"),
+        (spectrum("C", "--k", "3", "--q", "1/3"), "34c3ec0e6500ea1caf099c7d905c338864fc092daee2c4d92ccdd63f64ea7267"),
+        (spectrum("C", "--k", "10000", "--q", "9999/10000"), "5b0fa73b98005873e361cdd535e3a5e7030e849e7f43d94c3e411026b781aa26"),
     ],
-    ids=["identities-text", "identities-json", "normalize-text", "normalize-json", "bracket-text", "bracket-json", "ratfun-hashes"],
+    ids=[
+        "identities-text",
+        "identities-json",
+        "normalize-text",
+        "normalize-json",
+        "bracket-text",
+        "bracket-json",
+        "ratfun-hashes",
+        "apply-text",
+        "apply-json",
+        "norm-peak",
+        "norm-band",
+        "spectrum-A",
+        "spectrum-B",
+        "spectrum-C",
+        "spectrum-C-near-one",
+    ],
 )
 def test_output_is_unchanged(capsys, produce, digest):
     assert hashlib.sha256(produce(capsys).encode()).hexdigest() == digest

@@ -18,7 +18,7 @@ from qheis.spectral import (
     MAX_DIM,
     PURGE_EPS,
     NumericQ,
-    _columns,
+    _power_float,
     _qintegers,
     apply_numeric,
     coherent_vector,
@@ -134,17 +134,19 @@ ZERO_BANDS = ("(1-2*q)*B^3*C", "q^2000*B^3*C")
 def test_band_stores_equal_the_column_view(q):
     # matrix stores each band as one strided diagonal, and the decay report
     # sums the squares band by band: both agree with an assembly, entry by
-    # entry and column by column, from the per-column view, also for N <= h,
-    # where a band leaves the truncation
+    # entry and column by column, from the columns of apply_numeric, also for
+    # N <= h, where a band leaves the truncation
     for x in _oracle_elements() + [expr.evaluate(text) for text in ZERO_BANDS]:
         h = max(bw.a + bw.b for bw in x.terms)
         for N in sorted({1, 2, 3, h, h + 1, 120} - {0}):
+            cols = [apply_numeric(x, n, q) for n in range(N)]
             want = np.zeros((N, N))
-            for n, col in enumerate(_columns(x, q, 0, N, N)):
+            for n, col in enumerate(cols):
                 for i, v in col.items():
-                    want[i, n] = v
+                    if i < N:
+                        want[i, n] = v
             assert matrix(x, q, N).data.tobytes() == want.tobytes(), (str(x), N)
-            tail = tuple(math.sqrt(sum(v * v for v in col.values())) for col in _columns(x, q, 0, N))
+            tail = tuple(math.sqrt(sum(v * v for v in col.values())) for col in cols)
             assert compact_decay_report(x, q, N).tail == tail, (str(x), N)
     for text in ZERO_BANDS:
         assert not matrix(expr.evaluate(text), HALF, 40).data.any(), text
@@ -376,9 +378,8 @@ def test_op_norm_of_one_band_is_its_largest_entry(q):
 
 def _scan_norm(x, q, N):
     """The largest absolute entry of the truncation of one band, from all N
-    columns of the band fill."""
-    cols = _columns(x, NumericQ.coerce(q).value, 0, N)
-    return max((abs(v) for col in cols for i, v in col.items() if i < N), default=0.0)
+    columns of ``apply_numeric``."""
+    return max((abs(v) for n in range(N) for i, v in apply_numeric(x, n, q).items() if i < N), default=0.0)
 
 
 #: coefficients of one-term bands: signed, fractional, and q-dependent
@@ -436,13 +437,14 @@ def test_one_term_norm_edge_cases():
 
 def test_one_term_norm_reads_one_column(monkeypatch):
     yielded = []
+    bands = spectral._bands
 
     def counting(*args):
-        for col in _columns(*args):
-            yielded.append(col)
-            yield col
+        for band in bands(*args):
+            yielded.extend(band[3])
+            yield band
 
-    monkeypatch.setattr(spectral, "_columns", counting)
+    monkeypatch.setattr(spectral, "_bands", counting)
     for text in ("C", "B^3", "C^2*A", "-3*C*B^2"):
         yielded.clear()
         op_norm(expr.evaluate(text), HALF, 300)
@@ -646,6 +648,44 @@ def test_spectrum_facts_descriptors():
         for k in (0, 2, 3):
             with pytest.raises(ValueError, match=f"operator {op} takes no power"):
                 spectrum_facts(op, k=k)
+
+
+#: q from near 0 to near 1, with small and large denominators
+POWER_QS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(5, 7), Fraction(15, 16), Fraction(1, 10**6))
+
+
+def test_power_float_is_the_correctly_rounded_power():
+    rng = random.Random(2101)
+    for _ in range(600):
+        v = rng.randint(2, 10 ** rng.randint(1, 12))
+        q, e = Fraction(rng.randint(1, v - 1), v), rng.randint(0, 4000)
+        assert _power_float(q, e) == float(q**e), (q, e)
+    # exponents where q^e passes 2^-1022 (subnormal), 2^-1074 (the least
+    # subnormal) and 2^-1075 (half of it, which rounds to 0.0)
+    for q in POWER_QS:
+        for t in (1022, 1074, 1075):
+            middle = round(t * math.log(2) / -math.log(q))
+            for e in range(max(middle - 30, 0), middle + 31):
+                assert _power_float(q, e) == float(q**e), (q, e)
+
+
+def test_power_float_falls_back_to_the_exact_power(monkeypatch):
+    # with 8-bit bounds many powers straddle a rounding boundary, and take
+    # the exact power instead; with no bits allowed for it they are refused
+    monkeypatch.setattr(spectral, "_POWER_BITS", 8)
+    rng = random.Random(2102)
+    cases = [(Fraction(rng.randint(1, 999), 1000), rng.randint(0, 2000)) for _ in range(300)]
+    for q, e in cases:
+        assert _power_float(q, e) == float(q**e), (q, e)
+    monkeypatch.setattr(spectral, "MAX_RADICAND_BITS", 0)
+    refused = 0
+    for q, e in cases:
+        try:
+            assert _power_float(q, e) == float(q**e), (q, e)
+        except ValueError as err:
+            assert "MAX_RADICAND_BITS" in str(err)
+            refused += 1
+    assert 0 < refused < len(cases)
 
 
 def test_compact_decay_reports():
