@@ -8,31 +8,39 @@ equality is semantic equality:
   ascending degree with ordinary rationals (`fractions.Fraction`) as
   entries and no trailing zero.  It is what ``RatFun.num``/``den`` return
   and what ``RatFun(num, den)`` and JSON input take; it has no arithmetic.
-* ``RatFun`` stores a value as (cn / cd) * N / D: the content cn / cd is a
-  pair of integers in lowest terms with cd > 0 and cn = 0 only for zero, and
-  ``N`` and ``D`` are primitive integer coefficient tuples (ascending degree,
-  content 1, positive leading coefficient) with gcd(N, D) = 1.  That
-  quadruple is unique for each rational function and is all a ``RatFun``
-  stores.  Its public face, the reduced fraction ``num``/``den`` with a
-  *monic* denominator, is read from it on each use, with no cache.
+* ``RatFun`` stores a value as (cn / cd) * q^v * (q - 1)^w * N / D.  The
+  content cn / cd is a pair of integers in lowest terms with cd > 0 and
+  cn = 0 only for zero; the valuations v and w are any integers, a negative
+  one putting its factor in the denominator; ``N`` and ``D`` are primitive
+  integer coefficient tuples (ascending degree, content 1, positive leading
+  coefficient) with gcd(N, D) = 1 and N(0), N(1), D(0), D(1) all nonzero.
+  Those six parts are unique for each rational function and are all a
+  ``RatFun`` stores.  Its public face, the reduced fraction ``num``/``den``
+  with a *monic* denominator, is read from them on each use, with no cache.
 * ``LinComb`` is a finite linear combination with ``RatFun`` coefficients
   over hashable keys, stored as a term map with no zero coefficient.  The
   engine's algebra elements, free word sums, Laurent images and ket images
   are its subclasses, and ``LinComb.collect`` is the one place where terms
   are summed.
 
-All arithmetic is fraction-free and runs on the integers and integer tuples,
-by module-private functions; it computes a gcd only where a common factor
-can appear.  A product cross-cancels gcd(N1, D2) and gcd(N2, D1), and by
-Gauss's lemma nothing else can cancel; the contents cross-cancel the same
-way, gcd(cn1, cd2) and gcd(cn2, cd1) (Knuth, TAOCP vol. 2, 4.5.1).  A sum
-over one denominator D takes one gcd of the new numerator with D; other
-sums follow Henrici, splitting off g = gcd(D1, D2) so that only g can share
-a factor with the new numerator; the new content then takes one integer
-gcd.  Powers need no gcd.  The gcd itself splits off the common power of q
-and then runs a primitive polynomial remainder sequence over the integers
-(Collins 1967; Brown & Traub 1971).  ``QPolynomial.gcd`` uses the same
-routine.
+The deformed relations only ever divide by q and by 1 - q (AB - qBA = I,
+(1 - q)BA = I - C), so carrying those two factors as valuations keeps most
+coefficients at D = 1 and their dense cores short.  All arithmetic is
+fraction-free and runs on the integers and integer tuples, by module-private
+functions; it computes a gcd only where a common factor can appear.  A
+product adds the valuations and cross-cancels gcd(N1, D2) and gcd(N2, D1),
+and by Gauss's lemma nothing else can cancel; the contents cross-cancel the
+same way, gcd(cn1, cd2) and gcd(cn2, cd1) (Knuth, TAOCP vol. 2, 4.5.1).  A
+sum aligns both valuations to the smaller ones, combines, and strips q and
+q - 1 from the result by its constant term and its coefficient sum
+(synthetic division at q = 1).  Over one denominator D it then takes one gcd
+of the new numerator with D; otherwise it follows Henrici, splitting off
+g = gcd(D1, D2) so that only g can share a factor with the new numerator,
+and no polynomial gcd runs unless both D differ from 1; the new content then
+takes one integer gcd.
+Powers need no gcd.  The gcd is a primitive polynomial remainder sequence
+over the integers (Collins 1967; Brown & Traub 1971); ``QPolynomial.gcd``
+strips q and q - 1 first, as sums do, and runs it on what is left.
 
 ``Fraction`` appears only at the boundary, where values enter or leave as
 rational numbers: the coefficients of ``QPolynomial`` (so ``num``, ``den``
@@ -47,7 +55,8 @@ acts as the identity on them.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, frexp, gcd, lcm, ldexp, sqrt
+from itertools import accumulate
+from math import frexp, gcd, lcm, ldexp, sqrt
 from sys import float_info, hash_info
 
 
@@ -101,6 +110,35 @@ def _primitive(p: tuple):
     return g, tuple(x // g for x in p)
 
 
+def _strip(p: tuple):
+    """(content, v, w, r) with p = content * q^v * (q - 1)^w * r for a
+    nonzero integer polynomial p, r primitive with a positive leading
+    coefficient and r(0), r(1) nonzero."""
+    v = 0
+    while not p[v]:
+        v += 1
+    if v:
+        p = p[v:]
+    w = 0
+    while not sum(p):
+        # p = (q - 1) r with r_i = -(p_0 + ... + p_i); the sign is put
+        # back on the content
+        p = tuple(accumulate(p[:-1]))
+        w += 1
+    content, p = _primitive(p)
+    return (-content if w & 1 else content), v, w, p
+
+
+def _q_minus_1_power(w: int) -> tuple:
+    """(q - 1)^w, from one binomial row."""
+    row = [0] * (w + 1)
+    c = 1
+    for i in range(w + 1):
+        row[w - i] = -c if i & 1 else c
+        c = c * (w - i) // (i + 1)
+    return tuple(row)
+
+
 def _mul(a: tuple, b: tuple) -> tuple:
     if a == _ONE:
         return b
@@ -117,6 +155,19 @@ def _mul(a: tuple, b: tuple) -> tuple:
 def _pow(p: tuple, e: int) -> tuple:
     if p == _ONE:
         return p
+    n = len(p)
+    if p.count(1) == n:
+        # the q-integer {n}_q to the e is (q^n - 1)^e, which is sparse,
+        # divided synthetically by (q - 1)^e: e prefix sums, whose signs
+        # (-1)^e are folded into the binomial row
+        out = [0] * (n * e + 1)
+        c = 1
+        for i in range(e + 1):
+            out[n * i] = -c if i & 1 else c
+            c = c * (e - i) // (i + 1)
+        for _ in range(e):
+            out = list(accumulate(out[:-1]))
+        return tuple(out)
     out = _ONE
     while e:
         if e & 1:
@@ -188,12 +239,6 @@ def _gcd(a: tuple, b: tuple) -> tuple:
     primitive polynomials with positive leading coefficients."""
     if a == _ONE or b == _ONE:
         return _ONE
-    va = vb = 0
-    while not a[va]:
-        va += 1
-    while not b[vb]:
-        vb += 1
-    a, b = a[va:], b[vb:]
     if len(a) < len(b):
         a, b = b, a
     # a primitive remainder sequence; a primitive constant is (1,)
@@ -202,8 +247,7 @@ def _gcd(a: tuple, b: tuple) -> tuple:
         if not r:
             break
         a, b = b, _primitive(r)[1]
-    shift = min(va, vb)
-    return (0,) * shift + b if shift else b
+    return b
 
 
 def _exact_quotient(a: int, b: int):
@@ -221,13 +265,13 @@ def _homogeneous(p: tuple, u: int, v: int) -> int:
     return acc
 
 
-def _poly_text(coeffs) -> str:
-    """Ascending coefficients (ints or Fractions, no trailing zero) as a
-    re-parseable polynomial in q."""
+def _poly_text(coeffs, offset: int = 0) -> str:
+    """q^offset times the polynomial of ascending coefficients (ints or
+    Fractions, no trailing zero) as a re-parseable polynomial in q."""
     if not coeffs:
         return "0"
     pieces = []
-    for d, c in enumerate(coeffs):
+    for d, c in enumerate(coeffs, offset):
         if c == 0:
             continue
         if d == 0:
@@ -299,7 +343,9 @@ class QPolynomial:
             return a
         g = a._integral()[2]
         if not b.is_zero():
-            g = _gcd(g, b._integral()[2])
+            _, va, wa, g = _strip(g)
+            _, vb, wb, h = _strip(b._integral()[2])
+            g = (0,) * min(va, vb) + _mul(_gcd(g, h), _q_minus_1_power(min(wa, wb)))
         return QPolynomial(tuple(Fraction(x, g[-1]) for x in g))
 
     def __eq__(self, other) -> bool:
@@ -328,19 +374,31 @@ _new = object.__new__
 _set = object.__setattr__
 
 
-def _ratfun(cn: int, cd: int, n: tuple, d: tuple) -> "RatFun":
-    """Wrap a canonical quadruple (see the module docstring)."""
+def _ratfun(cn: int, cd: int, v: int, w: int, n: tuple, d: tuple) -> "RatFun":
+    """Wrap the six canonical parts (see the module docstring)."""
     out = _new(RatFun)
     _set(out, "_cn", cn)
     _set(out, "_cd", cd)
+    _set(out, "_v", v)
+    _set(out, "_w", w)
     _set(out, "_n", n)
     _set(out, "_d", d)
     return out
 
 
-def _product(a: int, b: int, n1: tuple, d1: tuple, c: int, d: int, n2: tuple, d2: tuple) -> "RatFun":
-    """(a/b) (n1/d1) (c/d) (n2/d2) for two reduced fractions of integers
-    with positive denominators and two reduced fractions of polynomials."""
+def _from_polynomial(p: QPolynomial) -> "RatFun":
+    """The nonzero polynomial p, from its dense coefficients."""
+    cn, cd, prim = p._integral()
+    # prim is primitive with a positive leading coefficient, so its stripped
+    # content is 1
+    _, v, w, n = _strip(prim)
+    return _ratfun(cn, cd, v, w, n, _ONE)
+
+
+def _product(x: "RatFun", c: int, d: int, v: int, w: int, n2: tuple, d2: tuple) -> "RatFun":
+    """x times (c/d) q^v (q - 1)^w (n2/d2), the six parts of a canonical
+    value or of its reciprocal with the sign moved up to c."""
+    a, b = x._cn, x._cd
     if not a or not c:
         return RF_ZERO
     if d != 1:
@@ -351,6 +409,7 @@ def _product(a: int, b: int, n1: tuple, d1: tuple, c: int, d: int, n2: tuple, d2
         g = gcd(c, b)
         if g != 1:
             c, b = c // g, b // g
+    n1, d1 = x._n, x._d
     if n1 != _ONE and d2 != _ONE:
         g = _gcd(n1, d2)
         if g != _ONE:
@@ -359,16 +418,16 @@ def _product(a: int, b: int, n1: tuple, d1: tuple, c: int, d: int, n2: tuple, d2
         g = _gcd(n2, d1)
         if g != _ONE:
             n2, d1 = _divexact(n2, g), _divexact(d1, g)
-    return _ratfun(a * c, b * d, _mul(n1, n2), _mul(d1, d2))
+    return _ratfun(a * c, b * d, x._v + v, x._w + w, _mul(n1, n2), _mul(d1, d2))
 
 
-def _quotient(a: int, b: int, n1: tuple, d1: tuple, c: int, d: int, n2: tuple, d2: tuple) -> "RatFun":
-    """(a/b) (n1/d1) / ((c/d) (n2/d2)) for c != 0 and the reduced fractions
-    of ``_product``."""
-    # times the reciprocal d/c, with the sign of c moved up
+def _quotient(x: "RatFun", y: "RatFun") -> "RatFun":
+    """x / y for y != 0: x times the reciprocal of y, with the sign of its
+    content moved up."""
+    c, d = y._cn, y._cd
     if c < 0:
         c, d = -c, -d
-    return _product(a, b, n1, d1, d, c, d2, n2)
+    return _product(x, d, c, -y._v, -y._w, y._d, y._n)
 
 
 class RatFun:
@@ -376,15 +435,17 @@ class RatFun:
 
     The canonical representative is unique, so ``==`` over ``RatFun`` is
     equality in the field of rational functions.  The value is stored only
-    as the quadruple (cn / cd) * N / D of the module docstring, all integers;
-    ``num``, ``den``, the text and the sort key are computed from it on each
-    use, with no cache.  ``Fraction`` appears only where a value leaves or
-    enters as rational numbers: the ``QPolynomial`` coefficients of ``num``,
-    ``den`` and ``RatFun(num, den)``, the value of ``evaluate``, and ``==``
-    against a ``Fraction``; a constant hashes as the number it equals.
+    as the six parts (cn / cd) * q^v * (q - 1)^w * N / D of the module
+    docstring, all integers; ``num``, ``den``, the text and the sort key are
+    computed from them on each use, with no cache, and equal those of the
+    reduced fraction whatever the split.  ``Fraction`` appears only where a
+    value leaves or enters as rational numbers: the ``QPolynomial``
+    coefficients of ``num``, ``den`` and ``RatFun(num, den)``, the value of
+    ``evaluate``, and ``==`` against a ``Fraction``; a constant hashes as
+    the number it equals.
     """
 
-    __slots__ = ("_cn", "_cd", "_n", "_d")
+    __slots__ = ("_cn", "_cd", "_v", "_w", "_n", "_d")
 
     def __new__(cls, num, den=_POLY_ONE):
         num, den = _poly(num), _poly(den)
@@ -392,19 +453,30 @@ class RatFun:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
             return RF_ZERO
-        return _quotient(*num._integral(), _ONE, *den._integral(), _ONE)
+        return _quotient(_from_polynomial(num), _from_polynomial(den))
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFun is immutable")
 
     def __reduce__(self):
-        return _ratfun, (self._cn, self._cd, self._n, self._d)
+        return _ratfun, (self._cn, self._cd, self._v, self._w, self._n, self._d)
 
-    def _monic_coeffs(self):
-        """Coefficients of ``num`` and ``den``, (cn / (cd lead(D))) * N and
-        D / lead(D), read from the quadruple: ints where they are integral,
-        ``Fraction`` values otherwise."""
-        n, d = self._n, self._d
+    def _cores(self):
+        """N and D with (q - 1)^|w| multiplied into the side it belongs to,
+        from one binomial row."""
+        n, d, w = self._n, self._d, self._w
+        if w > 0:
+            n = _mul(n, _q_minus_1_power(w))
+        elif w < 0:
+            d = _mul(d, _q_minus_1_power(-w))
+        return n, d
+
+    def _monic(self):
+        """(num, vn, den, vd): the coefficients of ``num`` and ``den`` are
+        those of q^vn * num and q^vd * den, the cores times (cn / (cd lead(D)))
+        and 1 / lead(D): ints where they are integral, ``Fraction`` values
+        otherwise."""
+        n, d = self._cores()
         sn, sd = self._cn, self._cd
         lead = d[-1]
         if lead != 1:
@@ -412,8 +484,16 @@ class RatFun:
             g = gcd(sn, lead)
             sn, sd = sn // g, sd * (lead // g)
         if sd == 1:
-            return tuple(sn * x for x in n), d
-        return tuple(_exact_quotient(sn * x, sd) for x in n), d
+            n = tuple(sn * x for x in n)
+        else:
+            n = tuple(_exact_quotient(sn * x, sd) for x in n)
+        v = self._v
+        return n, max(v, 0), d, max(-v, 0)
+
+    def _monic_coeffs(self):
+        """Dense coefficients of ``num`` and ``den``."""
+        n, vn, d, vd = self._monic()
+        return (0,) * vn + n, (0,) * vd + d
 
     @property
     def num(self) -> QPolynomial:
@@ -437,20 +517,21 @@ class RatFun:
     def from_fraction(cls, c) -> "RatFun":
         """The constant c, an int or a ``Fraction``."""
         cn, cd = _as_pair(c)
-        return _ratfun(cn, cd, _ONE, _ONE) if cn else RF_ZERO
+        return _ratfun(cn, cd, 0, 0, _ONE, _ONE) if cn else RF_ZERO
 
     @classmethod
     def q_power(cls, e: int) -> "RatFun":
         """q^e for any integer e (negative exponents allowed)."""
-        if e >= 0:
-            return _ratfun(1, 1, (0,) * e + _ONE, _ONE)
-        return _ratfun(1, 1, _ONE, (0,) * -e + _ONE)
+        return _ratfun(1, 1, e, 0, _ONE, _ONE)
 
     def is_zero(self) -> bool:
         return not self._cn
 
     def is_one(self) -> bool:
-        return self._cn == 1 and self._cd == 1 and self._n == _ONE and self._d == _ONE
+        return self._cn == 1 and self._cd == 1 and self._is_constant()
+
+    def _is_constant(self) -> bool:
+        return not self._v and not self._w and len(self._n) <= 1 and self._d == _ONE
 
     @staticmethod
     def _coerce(other):
@@ -473,30 +554,39 @@ class RatFun:
         r1, r2 = self._cd, other._cd
         k = gcd(r1, r2)
         x1, x2, den = c1 * (r2 // k), c2 * (r1 // k), r1 // k * r2
-        n1, d1, n2, d2 = self._n, self._d, other._n, other._d
+        # both over q^v (q - 1)^w, the smaller valuations
+        n1, n2 = self._n, other._n
+        v, w = min(self._v, other._v), min(self._w, other._w)
+        if self._w != other._w:
+            n1 = _mul(n1, _q_minus_1_power(self._w - w))
+            n2 = _mul(n2, _q_minus_1_power(other._w - w))
+        # (0,) * 0 is empty
+        n1, n2 = (0,) * (self._v - v) + n1, (0,) * (other._v - v) + n2
+        d1, d2 = self._d, other._d
         if d1 == d2:
             s = _combine(x1, n1, x2, n2)
             if not s:
                 return RF_ZERO
             h = d = d1
         else:
-            # Henrici: over h * e1 * e2 only h can share a factor with s
+            # Henrici: over h * e1 * e2 only h can share a factor with s; h
+            # is 1 at once where either D is 1
             h = _gcd(d1, d2)
             e1, e2 = _divexact(d1, h), _divexact(d2, h)
             s = _combine(x1, _mul(n1, e2), x2, _mul(n2, e1))
             d = _mul(e1, d2)
-        content, s = _primitive(s)
+        content, sv, sw, s = _strip(s)
         if h != _ONE:
             g = _gcd(s, h)
             if g != _ONE:
                 s, d = _divexact(s, g), _divexact(d, g)
         k = gcd(content, den)
-        return _ratfun(content // k, den // k, s, d)
+        return _ratfun(content // k, den // k, v + sv, w + sw, s, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFun":
-        return _ratfun(-self._cn, self._cd, self._n, self._d) if self._cn else self
+        return _ratfun(-self._cn, self._cd, self._v, self._w, self._n, self._d) if self._cn else self
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -514,7 +604,7 @@ class RatFun:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _product(self._cn, self._cd, self._n, self._d, other._cn, other._cd, other._n, other._d)
+        return _product(self, other._cn, other._cd, other._v, other._w, other._n, other._d)
 
     __rmul__ = __mul__
 
@@ -524,7 +614,7 @@ class RatFun:
             return NotImplemented
         if not other._cn:
             raise ZeroDivisionError("division by the zero rational function")
-        return _quotient(self._cn, self._cd, self._n, self._d, other._cn, other._cd, other._n, other._d)
+        return _quotient(self, other)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -542,94 +632,94 @@ class RatFun:
             return RF_ONE
         if not self._cn:
             return self
-        return _ratfun(self._cn**e, self._cd**e, _pow(self._n, e), _pow(self._d, e))
+        return _ratfun(self._cn**e, self._cd**e, self._v * e, self._w * e, _pow(self._n, e), _pow(self._d, e))
 
     def evaluate(self, q0) -> Fraction:
         """Exact evaluation at a rational point; raises ``PoleError`` at a
         zero of the (reduced) denominator."""
         q0 = _as_fraction(q0)
-        u, v = q0.numerator, q0.denominator
-        n, d = self._n, self._d
-        dv = _homogeneous(d, u, v)
+        u, t = q0.numerator, q0.denominator
+        n, d, v, w = self._n, self._d, self._v, self._w
+        # q0^v (q0 - 1)^w N(q0) / D(q0)
+        #   = u^v (u - t)^w nv / (dv t^(v + w + deg N - deg D))
+        nv = self._cn * _homogeneous(n, u, t)
+        dv = self._cd * _homogeneous(d, u, t)
+        if v > 0:
+            nv *= u**v
+        elif v < 0:
+            dv *= u**-v
+        if w > 0:
+            nv *= (u - t) ** w
+        elif w < 0:
+            dv *= (u - t) ** -w
         if not dv:
             raise PoleError(f"pole of {self} at q = {q0}")
-        # N(q0) = nv / v^deg N and D(q0) = dv / v^deg D
-        nv = _homogeneous(n, u, v)
-        shift = len(d) - len(n)
+        shift = len(d) - len(n) - v - w
         if shift >= 0:
-            nv *= v**shift
+            nv *= t**shift
         else:
-            dv *= v**-shift
-        return Fraction(self._cn * nv, self._cd * dv)
+            dv *= t**-shift
+        return Fraction(nv, dv)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RatFun):
             return (
-                self._cn == other._cn and self._cd == other._cd and self._n == other._n and self._d == other._d
+                self._cn == other._cn
+                and self._v == other._v
+                and self._w == other._w
+                and self._cd == other._cd
+                and self._n == other._n
+                and self._d == other._d
             )
         if isinstance(other, (int, Fraction)):
-            return (self._cn, self._cd) == _as_pair(other) and len(self._n) <= 1 and self._d == _ONE
+            return (self._cn, self._cd) == _as_pair(other) and self._is_constant()
         return NotImplemented
 
     def __hash__(self) -> int:
         # a constant hashes as the number it equals; otherwise the hash is
-        # that of (Fraction(cn, cd), N, D), since a tuple hash combines the
-        # hashes of its items and the hash of a rational is a fixed point
+        # that of (Fraction(cn, cd), N, D) for the dense primitive numerator
+        # and denominator, since a tuple hash combines the hashes of its
+        # items and the hash of a rational is a fixed point
         h = _pair_hash(self._cn, self._cd)
-        if len(self._n) <= 1 and self._d == _ONE:
+        if self._is_constant():
             return h
-        return hash((h, self._n, self._d))
+        n, d = self._cores()
+        v = self._v
+        # (0,) * v is empty for v <= 0
+        return hash((h, (0,) * v + n, (0,) * -v + d))
 
     def sort_key(self):
         return self._monic_coeffs()
 
     def __str__(self) -> str:
-        num, den = self._monic_coeffs()
-        if self._d == _ONE:
-            return f"({_poly_text(num)})"
-        return f"({_poly_text(num)})/({_poly_text(den)})"
+        num, vn, den, vd = self._monic()
+        if not vd and den == _ONE:
+            return f"({_poly_text(num, vn)})"
+        return f"({_poly_text(num, vn)})/({_poly_text(den, vd)})"
 
     def __repr__(self) -> str:
         return f"RatFun({self})"
 
 
-RF_ZERO = _ratfun(0, 1, (), _ONE)
-RF_ONE = _ratfun(1, 1, _ONE, _ONE)
+RF_ZERO = _ratfun(0, 1, 0, 0, (), _ONE)
+RF_ONE = _ratfun(1, 1, 0, 0, _ONE, _ONE)
 RF_Q = RatFun.q_power(1)
-#: 1 - q, the denominator that pervades the deformed relations.
-RF_ONE_MINUS_Q = RatFun(QPolynomial((1, -1)))
+#: 1 - q = -(q - 1), the denominator that pervades the deformed relations.
+RF_ONE_MINUS_Q = _ratfun(-1, 1, 0, 1, _ONE, _ONE)
 
 
 def over_one_minus_q(p: list, v: int, m: int) -> RatFun:
     """q^v P(q) / (1 - q)^m for integer coefficients P (ascending) and any
-    integer v, built as its canonical quadruple with no gcd: P has no factor
-    but q - 1 to share with the denominator, and those are divided out
-    synthetically while P(1) = 0."""
+    integers v and m, built as its canonical parts with no gcd: stripping q
+    and q - 1 from P leaves a core with no factor to share."""
     p = list(p)
     while p and not p[-1]:
         p.pop()
     if not p:
         return RF_ZERO
-    low = 0
-    while not p[low]:
-        low += 1
-    p, v = p[low:], v + low
-    # (1 - q)^m = (-1)^m (q - 1)^m
-    sign = -1 if m & 1 else 1
-    while m and not sum(p):
-        # P = (q - 1) R with R_i = -(P_0 + ... + P_i)
-        r, s = [], 0
-        for x in p[:-1]:
-            s -= x
-            r.append(s)
-        p, m = r, m - 1
-    content, n = _primitive(tuple(p))
-    d = tuple(comb(m, i) * (-1 if (m - i) & 1 else 1) for i in range(m + 1))
-    if v > 0:
-        n = (0,) * v + n
-    elif v < 0:
-        d = (0,) * -v + d
-    return _ratfun(sign * content, 1, n, d)
+    content, low, k, n = _strip(tuple(p))
+    # (1 - q)^-m = (-1)^m (q - 1)^-m
+    return _ratfun(-content if m & 1 else content, 1, v + low, k - m, n, _ONE)
 
 
 def as_ratfun(value) -> RatFun:
@@ -644,7 +734,7 @@ def qbracket(n: int) -> RatFun:
     """The q-integer 1 + q + ... + q^(n-1) = (1 - q^n)/(1 - q); 0 for n = 0."""
     if n < 0:
         raise ValueError("qbracket is defined for nonnegative integers")
-    return _ratfun(1, 1, (1,) * n, _ONE) if n else RF_ZERO
+    return _ratfun(1, 1, 0, 0, (1,) * n, _ONE) if n else RF_ZERO
 
 
 def qbracket_value(n: int, q0) -> Fraction:

@@ -294,6 +294,38 @@ def test_float_overflow_exits_1(capsys, argv):
     assert elapsed < 2.0
 
 
+def test_float_overflow_of_a_high_valuation_exits_1_fast(capsys):
+    # (1/(1-q))^2000 is one valuation: the entry, about 2^2000, is refused
+    # before any power of 1 - q is multiplied out
+    start = time.perf_counter()
+    code = main(["norm", "(1/(1-q))^2000*B", "--q", "1/2", "--dim", "10"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr()
+    assert code == 1
+    assert err.out == ""
+    assert err.err == "error: value >= 2^2000 is past the float range\n"
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize(
+    "argv, head, tail",
+    [
+        # q^10000000 is printed from its exponent, not from 10^7 zeros
+        (["apply", "C", "--n", "10000000"], "((q^10000000))*v_10000000\n", ""),
+        # (1 - q)^2000 is expanded from one binomial row
+        (["normalize", "(1-q)^2000*A"], "(1 - 2000*q + 1999000*q^2 - ", " - 2000*q^1999 + q^2000)*A\n"),
+    ],
+    ids=["apply-C", "normalize-(1-q)^2000"],
+)
+def test_text_of_high_valuations_is_fast(capsys, argv, head, tail):
+    start = time.perf_counter()
+    assert main(argv) == 0
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert out.startswith(head) and out.endswith(tail)
+    assert elapsed < 2.0
+
+
 @pytest.mark.parametrize("c, dim", [("1e300", "10"), ("30", "300")])
 def test_coherent_overflow_is_reported_as_the_window_error(capsys, c, dim):
     start = time.perf_counter()

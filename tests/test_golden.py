@@ -7,7 +7,10 @@ stored as a pair of integers instead of a ``Fraction`` (the ``normalize`` and
 ``1/(1 - q)`` contents, and the hash values), and before the spectral lab
 read its columns straight off the band fill and rounded the eigenvalues of
 ``spectrum --op C`` from bounds on the power (the numeric ``apply``, the
-one-band ``norm`` and the ``spectrum`` reports).  Rendering sorts terms, so
+one-band ``norm`` and the ``spectrum`` reports).  The identity suite at
+kmax = 16, lmax = 12, ``(A+B)^12`` and the hash corpus with q^v and
+(1 - q)^w above and below the line were taken before a ``RatFun`` carried
+those two valuations apart from its dense parts.  Rendering sorts terms, so
 neither the bracket memo nor the order in which a bracket meets its terms may
 show in the output.  Hashes of ints and of tuples of ints do not depend on
 the hash seed, and a constant hashes as the number it equals; CI runs this
@@ -25,6 +28,9 @@ from qheis.ratfun import RF_ONE_MINUS_Q, QPolynomial, RatFun, over_one_minus_q, 
 NORMALIZE = ["normalize", "-3/7*A^4*B^2 + 5/2*q^3/(1-q)*C^2*B - 1/(1-2*q)*A"]
 BRACKET = ["bracket", "2/3*A - q*C^2", "B^2 - 5/(1-q)*C*A"]
 IDENTITIES = ["verify", "identities", "--kmax", "8", "--lmax", "6"]
+#: coefficients of degree up to about 200, with (q^l - 1)^k scale factors
+IDENTITIES_DEEP = ["verify", "identities", "--kmax", "16", "--lmax", "12"]
+POWER = ["normalize", "(A+B)^12"]
 APPLY = ["apply", "-3/7*B^2*C + 5/(1-q)*C^2*A - 2/3*q^2/(1-q)^2*C^3 + 4*B*C", "--n", "5", "--q", "1/3"]
 #: one term, whose norm is read from its peak column
 NORM_PEAK = ["norm", "(-5/3)*q^2/(1-q)*B^2*C^3", "--q", "1/3", "--dim", "60"]
@@ -54,6 +60,15 @@ HASH_CORPUS = [
     # denominators with no inverse modulo the hash modulus 2^61 - 1
     RatFun.from_fraction(Fraction(-3, 2**61 - 1)),
     RatFun.q_power(2) / (2 * (2**61 - 1)),
+    # (1 - q)^w above and below the line, with q^v and q-integers
+    RF_ONE_MINUS_Q**3,
+    RatFun.q_power(-3) / RF_ONE_MINUS_Q**2,
+    RF_ONE_MINUS_Q**4 * RatFun.q_power(2) * qbracket(3) * Fraction(-5, 4),
+    qbracket(5) ** 2 / (RF_ONE_MINUS_Q**3 * RatFun.q_power(4)),
+    RatFun.q_power(-1) * RF_ONE_MINUS_Q**2 / (qbracket(4) * 7),
+    over_one_minus_q([3, 0, -3], 2, 5),
+    RatFun(QPolynomial((1, -2)), QPolynomial((0, 0, 1, -2, 1))),
+    RatFun(QPolynomial((0, 1, -3, 3, -1)), QPolynomial((2, 1))),
 ]
 
 
@@ -76,11 +91,15 @@ def ratfun_hashes(capsys):
     [
         (cli(*IDENTITIES), "7d21c385f114b962d21ebfe2d2c0c35fc75112369aa27a925bff2e89bce7b076"),
         (cli(*IDENTITIES, "--json"), "756022f2849f395e679438ea6a87b0ea8a0117bd925b3afe35af6822d8fcd500"),
+        (cli(*IDENTITIES_DEEP), "1e18a879365de47cd079f6ae0509728b7544d2f6ec6cfd88e607bddd018f6a63"),
+        (cli(*IDENTITIES_DEEP, "--json"), "0236e7d62abd08c8d9adc99e167d1c4b350764323879a32665bfea6123380b05"),
+        (cli(*POWER), "b5bae706ea00c1bcd719da2b1d89468b6a74f6d985889a8cea1651b0fbab9d2b"),
+        (cli(*POWER, "--json"), "da1450fcddcfb8011267e942ad42b2c8e611214217158235550ae1cdf4f3c4be"),
         (cli(*NORMALIZE), "eb160f9c201aadd7288c118655df656d5d9d74a84100349a7f98e3940ef61b58"),
         (cli(*NORMALIZE, "--json"), "8c5d7671fdbbd355c6662eeb6c580236de89ff1d71bbc9916a6c7ca15d57d2f2"),
         (cli(*BRACKET), "8f9e289195653e9696256fe1ee606ca617f7e3917a8471de9ba9fdf020a89d93"),
         (cli(*BRACKET, "--json"), "41fcc760a846b4e5544212747605836a5d3a2976061696e9ee4ca6956127d316"),
-        (ratfun_hashes, "a87cb12716f1f1079ca408a7f0f9ecd6189677ca700358a8476e2ad2e8181da3"),
+        (ratfun_hashes, "afb33e1cfdeab69b05e63577e63e33d8f91e0b322e4bf4299c1fe55d59be0491"),
         (cli(*APPLY), "7f1e1e3eb6b0c37f70821a7c85b1d1b8fbd90a9b63df1767c9bb4f08d8e15c90"),
         (cli(*APPLY, "--json"), "7a942c9912f737431b08a55e6cb959ad979042b987dfaa4bf4dd406a42d70e57"),
         (cli(*NORM_PEAK), "a38a199bffaf382dfadc9b37a4aeb9df1b29127c6114f3acae977812fb0e9be4"),
@@ -93,6 +112,10 @@ def ratfun_hashes(capsys):
     ids=[
         "identities-text",
         "identities-json",
+        "identities-deep-text",
+        "identities-deep-json",
+        "power-text",
+        "power-json",
         "normalize-text",
         "normalize-json",
         "bracket-text",

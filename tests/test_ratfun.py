@@ -136,6 +136,44 @@ def test_negative_q_powers():
     assert RatFun.q_power(-1) == ONE / RF_Q
 
 
+def test_valuations_are_carried_not_expanded():
+    # q and 1 - q live in the valuations, so neither core grows
+    x = RatFun.q_power(10**9) * RF_ONE_MINUS_Q ** (10**6)
+    assert (x._v, x._w) == (10**9, 10**6)
+    assert x._n == x._d == (1,)
+    y = x / (RF_Q ** (10**9 + 3) * RF_ONE_MINUS_Q ** (10**6 + 2))
+    assert (y._v, y._w, y._n, y._d) == (-3, -2, (1,), (1,))
+    assert str(RatFun.q_power(10**9)) == "(q^1000000000)"
+    assert str(y) == "(1)/(q^3 - 2*q^4 + q^5)"
+
+
+def test_evaluate_at_the_carried_poles():
+    x = RatFun.q_power(-2) / RF_ONE_MINUS_Q * 3
+    assert x.evaluate(HALF) == 24
+    for q0 in (0, 1):
+        with pytest.raises(PoleError):
+            x.evaluate(q0)
+    # the valuations above the line vanish there instead
+    assert (RatFun.q_power(2) * RF_ONE_MINUS_Q).evaluate(0) == 0
+    assert (RatFun.q_power(2) * RF_ONE_MINUS_Q).evaluate(1) == 0
+
+
+def test_q_integer_powers_match_the_dense_product():
+    # {l}_q^e is built as (q^l - 1)^e divided by (q - 1)^e
+    for l in range(1, 7):
+        for e in range(6):
+            got = qbracket(l) ** e
+            assert got.num.coeffs == poly_mul(*[(1,) * l] * e), (l, e)
+            assert got == (ONE - RF_Q**l) ** e / RF_ONE_MINUS_Q**e
+
+
+def test_gcd_keeps_the_powers_of_q_and_one_minus_q():
+    a = QPolynomial(poly_mul((0, 0, 1), *[(1, -1)] * 3, (2, 1)))
+    b = QPolynomial(poly_mul((0, 1), *[(-1, 1)] * 5, (2, 1), (2, 1), (1, 2)))
+    assert a.gcd(b) == QPolynomial(poly_mul((0, 1), *[(-1, 1)] * 3, (2, 1)))
+    assert a.gcd(QPolynomial(())) == QPolynomial([x / a.coeffs[-1] for x in a.coeffs])
+
+
 def test_field_axioms_random():
     rng = random.Random(20260810)
     from conftest import random_ratfun

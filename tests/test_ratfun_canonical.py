@@ -3,6 +3,7 @@ generated polynomials (degree <= 3, coefficients in [-5, 5], with shared
 factors q^a and (1 - q^m)^e) so that every example stays cheap."""
 
 from fractions import Fraction
+from math import gcd
 
 from conftest import poly_mul
 from hypothesis import given, settings
@@ -30,9 +31,33 @@ def ratfuns(draw):
     return RatFun(draw(polynomials(nonzero=False)), draw(polynomials()))
 
 
+def assert_six_parts(z):
+    """z is stored as (cn / cd) q^v (q - 1)^w N / D with the invariant of the
+    module docstring, and its ``num``/``den`` are that value, rebuilt here by
+    ``poly_mul`` and made monic."""
+    cn, cd, v, w, n, d = z._cn, z._cd, z._v, z._w, z._n, z._d
+    assert cd > 0 and gcd(cn, cd) == 1
+    if not cn:
+        assert (cd, v, w, n, d) == (1, 0, 0, (), (1,))
+        assert z.num.is_zero() and z.den.coeffs == (1,)
+        return
+    for p in (n, d):
+        assert all(type(x) is int for x in p)
+        assert gcd(*p) == 1 and p[-1] > 0
+        assert p[0] and sum(p)  # p(0) and p(1)
+    assert QPolynomial(n).gcd(QPolynomial(d)).degree == 0
+    q_minus_1 = (-1, 1)
+    top = poly_mul(n, (0,) * max(v, 0) + (1,), *[q_minus_1] * max(w, 0))
+    bottom = poly_mul(d, (0,) * max(-v, 0) + (1,), *[q_minus_1] * max(-w, 0))
+    scale = Fraction(cn, cd) / bottom[-1]
+    assert z.num == QPolynomial([scale * x for x in top])
+    assert z.den == QPolynomial([x / bottom[-1] for x in bottom])
+
+
 @BUDGET
 @given(ratfuns())
 def test_canonical_form(x):
+    assert_six_parts(x)
     assert x.den.coeffs[-1] == 1
     assert x.num.gcd(x.den).degree == 0
     assert RatFun(x.num, x.den) == x
@@ -64,5 +89,6 @@ def test_arithmetic_round_trips(x, y, n, f):
     if not y.is_zero():
         results.append(x / y)
     for z in results:
+        assert_six_parts(z)
         assert RatFun(z.num, z.den) == z
         assert hash(RatFun(z.num, z.den)) == hash(z)
