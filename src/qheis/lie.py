@@ -323,7 +323,8 @@ def apply_symbolic(x: Element, n: int) -> KetImage:
         if n < bw.a:
             continue
         m = n - bw.a
-        rad = tuple(sorted([n - i for i in range(bw.a)] + [m + j for j in range(1, bw.b + 1)]))
+        # b*a = 0, so the radicand is the one run {m+1}_q ... {m+a+b}_q
+        rad = tuple(range(m + 1, m + 1 + bw.a + bw.b))
         pairs.append(((m + bw.b, rad), c * RatFun.q_power(bw.k * m)))
     return KetImage.collect(pairs)
 

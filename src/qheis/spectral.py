@@ -44,14 +44,17 @@ have about K m bit_length(v) bits each, which the rounding squares.  A fill
 whose last column would pass ``MAX_RADICAND_BITS`` in all is refused before
 any power or q-integer is computed.
 
-The windowed geometric-mean estimators take the window sums of the log
-weights for a block of window lengths at once, as one numpy array reduced
-in one call; each sum is the same float subtraction of two prefix sums as
-one call per length would make.  They converge to the spectral radius from
-below; the lower-index estimator attains its infimum at n = 0, where it
-equals (1-q)^(-1/2) * prod_{i<k} (1-q^(i+1))^(1/2k), so its error decays
-like O(1/k).  That slow rate is inherent to the formula, not a defect; the
-matching tolerance at k = 500 is one percent.
+The windowed geometric-mean estimators read one window each per length k.
+The weights increase strictly, so the geometric mean of k consecutive
+weights (Shields 1974) is largest at the last window inside the truncation,
+alpha_(N-1-k) ... alpha_(N-2), and smallest at the first, alpha_0 ...
+alpha_(k-1).  So each estimate is a running sum of log weights, from
+alpha_(N-2) down for the radius and from alpha_0 up for the lower index,
+with no search over the windows.  The radius estimate converges to
+(1-q)^(-1/2) from below; the lower-index estimate equals (1-q)^(-1/2) *
+prod_{i<k} (1-q^(i+1))^(1/2k), so its error decays like O(1/k).  That slow
+rate is inherent to the formula, not a defect; the matching tolerance at
+k = 500 is one percent.
 
 The operator-norm default is exact, and rests on one principle: the
 truncation is the direct sum of the components of its band graph, which
@@ -127,8 +130,6 @@ MAX_DIM = 2000
 MAX_RADICAND_BITS = 2_000_000
 #: bits of the bounds from which ``_power_float`` rounds a power of q
 _POWER_BITS = 128
-#: number of doubles in one block of window sums of ``_window_means``
-_WINDOW_BLOCK = 1 << 15
 
 
 def _check_dim(N: int) -> None:
@@ -335,44 +336,36 @@ def op_norm(x: Element, q0, N: int) -> float:
     return max((float(np.linalg.svd(blk, compute_uv=False)[0]) for blk in blocks if blk.size), default=0.0)
 
 
-def _window_means(q0, kmax: int, N: int, pick: str) -> list:
-    """For each window length k <= kmax, the numpy reduction named by
-    ``pick`` ("max" or "min") over n < N-k of the geometric mean of the k
-    consecutive weights from n on.  The window sums csum[n+k] - csum[n] of a
-    block of lengths k form one array, reduced along n in one call: csum is
-    padded past its index N-1 with -inf for "max" and +inf for "min", so
-    the windows that run past it never win."""
+def _log_weights(q0, kmax: int, N: int, lo: int) -> list:
+    """The log weights 0.5 log {m}_q, m = lo ... lo + kmax - 1, of an
+    estimator's windows, once its arguments pass the checks."""
     if kmax < 1 or N <= kmax:
         raise ValueError("need kmax >= 1 and N > kmax")
     _check_dim(N)
     q0 = NumericQ.coerce(q0)
-    import numpy as np
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    reduce = getattr(np, pick)
-    logs = np.array([0.5 * math.log(n / d) for n, d in islice(_qintegers(q0.value, 1), N - 1)])
-    csum = np.concatenate([[0.0], np.cumsum(logs), np.full(kmax, -math.inf if pick == "max" else math.inf)])
-    # row k of the view is csum[k : k + N]
-    shifted = sliding_window_view(csum, N)
-    step = max(1, _WINDOW_BLOCK // N)
-    means = []
-    for k in range(1, kmax + 1, step):
-        end = min(k + step, kmax + 1)
-        means += (reduce(shifted[k:end] - csum[:N], axis=1) / np.arange(k, end)).tolist()
-    return [math.exp(m) for m in means]
+    return [0.5 * math.log(n / d) for n, d in islice(_qintegers(q0.value, lo), kmax)]
 
 
 def spectral_radius_est(q0, kmax: int, N: int):
-    """For each window length k <= kmax, the sup over n < N-k of the
-    geometric mean of k consecutive weights; the final entry estimates the
-    spectral radius of the shift."""
-    return _window_means(q0, kmax, N, "max")
+    """For each window length k <= kmax, the geometric mean of the last k
+    weights inside the truncation, alpha_(N-1-k) ... alpha_(N-2), which is
+    the largest over the windows because the weights increase; its log is
+    summed from the largest q-integer {N-1}_q down.  The final entry
+    estimates the spectral radius of the shift."""
+    logs = _log_weights(q0, kmax, N, N - kmax)
+    return [math.exp(s / k) for k, s in enumerate(accumulate(reversed(logs)), 1)]
 
 
 def lower_index_est(q0, kmax: int, N: int):
-    """Windowed geometric-mean infima; monotonically increasing in k with
-    O(1/k) convergence toward (1-q)^(-1/2) (the infimum sits at n = 0)."""
-    return _window_means(q0, kmax, N, "min")
+    """For each window length k <= kmax, the geometric mean of the first k
+    weights, the smallest over the windows; monotonically increasing in k
+    with O(1/k) convergence toward (1-q)^(-1/2)."""
+    # window n exceeds window 0 by at least 0.5 log({k+1}_q / {1}_q) >=
+    # 0.5 log(1 + q), far above the rounding of any prefix-sum difference,
+    # so a scan of the rounded window sums would also pick window 0, whose
+    # prefix sum it reads minus 0.0: this running sum, bit for bit
+    logs = _log_weights(q0, kmax, N, 1)
+    return [math.exp(s / k) for k, s in enumerate(accumulate(logs), 1)]
 
 
 class CoherentWitness(namedtuple("CoherentWitness", "eigenvalue entries residual radius outside_disk")):

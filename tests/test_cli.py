@@ -443,10 +443,8 @@ def builds_a_matrix(argv) -> bool:
 
 
 #: the only command lines that build a matrix or call LAPACK, so load numpy:
-#: the estimators, and the `norm` lines that build a matrix
-NUMPY_COMMANDS = [
-    argv for argv in COMMANDS if argv[0] in {"radius", "lower-index"} or argv[0] == "norm" and builds_a_matrix(argv)
-]
+#: the `norm` lines that build a matrix
+NUMPY_COMMANDS = [argv for argv in COMMANDS if argv[0] == "norm" and builds_a_matrix(argv)]
 NUMPY_FREE = [argv + mode for argv in COMMANDS if argv not in NUMPY_COMMANDS for mode in ([], ["--json"])]
 # refused by the MAX_DIM check before numpy is imported
 NUMPY_FREE.extend(OVER_MAX_DIM)

@@ -1,10 +1,12 @@
 """Truncated weighted-shift realization: weights, matrices, norms, spectra."""
 
 import cmath
+import decimal
 import math
 import random
 import time
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -245,6 +247,14 @@ def test_pole_at_q0_raises():
         op_norm(pole - C, HALF, 6)
 
 
+def last_window_means(exact: list, kmax: int) -> list:
+    """exp of the mean log weight of each last window of the exact q-integers
+    {1}_q ... {N}_q: 0.5 log {m}_q summed over m = N-1, N-2, ..., N-k, from
+    the largest m down, as the definition of the radius estimate reads it."""
+    logs = [0.5 * math.log(float(v)) for v in exact[len(exact) - 1 - kmax : len(exact) - 1]]
+    return [math.exp(s / k) for k, s in enumerate(accumulate(reversed(logs)), 1)]
+
+
 def test_weights_and_estimators_from_exact_qintegers():
     for q in ORACLE_QS:
         exact = [qbracket_value(n + 1, q) for n in range(300)]
@@ -252,27 +262,55 @@ def test_weights_and_estimators_from_exact_qintegers():
         logs = np.array([0.5 * math.log(float(v)) for v in exact])
         csum = np.concatenate([[0.0], np.cumsum(logs)])
         spans = [csum[k:300] - csum[0 : 300 - k] for k in range(1, 41)]
-        assert spectral_radius_est(q, 40, 300) == [math.exp(np.max(s) / k) for k, s in enumerate(spans, 1)]
+        radius = spectral_radius_est(q, 40, 300)
+        assert radius == last_window_means(exact, 40)
+        assert radius == pytest.approx([math.exp(np.max(s) / k) for k, s in enumerate(spans, 1)], rel=1e-12, abs=0)
         assert lower_index_est(q, 40, 300) == [math.exp(np.min(s) / k) for k, s in enumerate(spans, 1)]
 
 
-#: (kmax, N) of the block estimators: one window length, every length of a
-#: single block, and lengths over several blocks of _WINDOW_BLOCK doubles
+#: (kmax, N) of the estimators: one window length, every window length of a
+#: truncation, and the largest truncation
 ESTIMATOR_GRID = [(1, 2)] + [(N - 1, N) for N in (2, 3, 66, 520)] + [(500, 520), (1999, 2000)]
 
 
 @pytest.mark.parametrize("q", ORACLE_QS + (NEAR_ONE,), ids=str)
 def test_block_estimators_equal_the_per_length_reduction(q):
-    assert any(kmax > spectral._WINDOW_BLOCK // N for kmax, N in ESTIMATOR_GRID)
     for kmax, N in ESTIMATOR_GRID:
         exact = [qbracket_value(n + 1, q) for n in range(N)]
         logs = np.array([0.5 * math.log(float(v)) for v in exact])
         csum = np.concatenate([[0.0], np.cumsum(logs)])
         spans = [csum[k:N] - csum[0 : N - k] for k in range(1, kmax + 1)]
-        for estimate, pick in ((spectral_radius_est, np.max), (lower_index_est, np.min)):
-            got = estimate(q, kmax, N)
-            assert got == [math.exp(pick(s) / k) for k, s in enumerate(spans, 1)], (kmax, N, pick)
-            assert all(type(v) is float for v in got), (kmax, N, pick)
+        radius = spectral_radius_est(q, kmax, N)
+        assert radius == last_window_means(exact, kmax), (kmax, N)
+        scan = [math.exp(np.max(s) / k) for k, s in enumerate(spans, 1)]
+        assert radius == pytest.approx(scan, rel=1e-12, abs=0), (kmax, N)
+        lower = lower_index_est(q, kmax, N)
+        assert lower == [math.exp(np.min(s) / k) for k, s in enumerate(spans, 1)], (kmax, N)
+        assert all(type(v) is float for v in radius + lower), (kmax, N)
+
+
+@pytest.mark.parametrize("q", ORACLE_QS + (NEAR_ONE, Fraction(9999, 10000)), ids=str)
+def test_radius_of_one_window_is_the_largest_weight(q):
+    # a window of one weight has that weight as its geometric mean, and the
+    # largest weight inside the truncation is alpha_(N-2)
+    for N in (2, 3, 66, 300, 2000):
+        largest = weights(q, N).values[N - 2]
+        assert abs(spectral_radius_est(q, 1, N)[0] - largest) <= 2 * math.ulp(largest), N
+
+
+@pytest.mark.parametrize("q, kmax, N", [(Fraction(99, 100), 100, 600), (Fraction(9999, 10000), 300, 2000)], ids=str)
+def test_radius_against_a_decimal_reference(q, kmax, N):
+    with decimal.localcontext(prec=50):
+        total = decimal.Decimal(0)
+        reference = []
+        for k, m in enumerate(range(N - 1, N - 1 - kmax, -1), 1):
+            value = qbracket_value(m, q)
+            total += (decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)).ln() / 2
+            reference.append(float((total / k).exp()))
+    radius = spectral_radius_est(q, kmax, N)
+    assert len(radius) == kmax
+    for k, (got, want) in enumerate(zip(radius, reference), 1):
+        assert abs(got - want) <= 64 * math.ulp(want), k
 
 
 def test_matrix_examples():
