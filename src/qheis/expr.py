@@ -217,7 +217,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "nat":
             self.advance()
-            return Scalar(RatFun.from_fraction(Fraction(int(tok.text))))
+            return Scalar(RatFun.from_fraction(int(tok.text)))
         if tok.kind == "name":
             self.advance()
             if tok.text == "q":

@@ -354,10 +354,6 @@ def surrogate_residual(c, side: str, l: int, n: int, k: int) -> KetImage:
     """(c*Z - surrogate) applied to v_n, where Z is the pure power; the
     contract is that this is exactly the zero image."""
     c = as_ratfun(c)
-    if side == "B":
-        z = Element.monomial(l, 0, 0, c)
-    elif side == "A":
-        z = Element.monomial(0, 0, l, c)
-    else:
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    return apply_symbolic(z - lie_surrogate(c, side, l, n, k), n)
+    surrogate = lie_surrogate(c, side, l, n, k)
+    z = Element.monomial(l, 0, 0, c) if side == "B" else Element.monomial(0, 0, l, c)
+    return apply_symbolic(z - surrogate, n)

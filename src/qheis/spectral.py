@@ -378,6 +378,8 @@ class CoherentWitness(namedtuple("CoherentWitness", "eigenvalue entries residual
 def coherent_vector(c, q0, N: int) -> CoherentWitness:
     """Build v with v_0 = 1, v_(n+1) = c v_n / alpha_n, so that A v = c v in
     the infinite model, and report the truncation residual |Av - cv|/|v|.
+    (Av)_n = alpha_n v_(n+1) = c v_n for n < N-1 and the truncation makes
+    (Av)_(N-1) = 0, so the residual is exactly |c v_(N-1)| / |v|.
 
     For |c| inside the open disk of radius (1-q)^(-1/2) the residual decays
     geometrically with N.  Larger |c| is allowed but flagged: there the
@@ -395,12 +397,10 @@ def coherent_vector(c, q0, N: int) -> CoherentWitness:
     v[0] = 1.0 + 0j
     for n in range(N - 1):
         v[n + 1] = c * v[n] / alphas[n]
-    av = [alphas[n] * v[n + 1] for n in range(N - 1)] + [0j]
     # abs() of a complex past the float range, and float **, raise
     # OverflowError where other float arithmetic gives inf or nan
     try:
-        residual = math.sqrt(sum(abs(av[n] - c * v[n]) ** 2 for n in range(N)))
-        residual /= math.sqrt(sum(abs(z) ** 2 for z in v))
+        residual = abs(c * v[N - 1]) / math.sqrt(sum(abs(z) ** 2 for z in v))
     except OverflowError:
         residual = math.inf
     if not math.isfinite(residual):

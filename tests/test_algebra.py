@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import basis_words_up_to, random_element
+from qheis import expr
 from qheis.algebra import (
     A,
     B,
@@ -212,6 +213,9 @@ def test_the_exact_product_path_builds_no_fraction(monkeypatch):
         bracket(x, y.scale(2))
         element_power(x, 3)
         ad_power(x, 2, y)
+    # natural literals parse to int contents
+    for text in ("3*A + 2/3*B", "(A+B)^3 - 5/(1-q)*C", "[2*A, q^2*B^2]", "ad(A)^2(7*B)", "12/(1-2*q)*C^2*A"):
+        expr.evaluate(text)
     monkeypatch.undo()
     assert built == []
 
@@ -258,9 +262,33 @@ def test_basis_invariant_enforced():
             assert bw.b * bw.a == 0
 
 
-def test_multiply_with_printed_rules_can_stick():
+def test_multiply_refuses_the_printed_rules():
+    with pytest.raises(ValueError, match="completed rules"):
+        multiply(B, A, PRINTED)
+
+
+def test_printed_normal_forms_are_those_of_the_expanded_word_sum():
+    # reducing products of normal forms under the printed rules depends on
+    # association: (B*A)*C reduces, B*(A*C) = q B*C*A sticks
+    want = multiply(multiply(B, A), C)
+    assert str(want) == "(-1)/(-1 + q)*C + (1)/(-1 + q)*C^2"
+    assert normalize(expr.eval_ast_free(expr.parse("B*A*C")), PRINTED) == want
     with pytest.raises(StuckWordError):
-        multiply(B, multiply(C, A), PRINTED)
+        reduce_word("BCA", PRINTED)
+
+
+def test_cold_bracket_memo_holds_the_monomial_commutators(monkeypatch):
+    monkeypatch.setattr(COMPLETED, "_product_memo", {})
+    monkeypatch.setattr(COMPLETED, "_bracket_memo", {})
+    words = [bw for bw in basis_words_up_to(3) if bw.degree <= 3]
+    for bx in words:
+        for by in words:
+            bracket(Element.monomial(*bx), Element.monomial(*by))
+    memo = COMPLETED._bracket_memo
+    assert len(memo) == len(words) ** 2
+    for (bx, by), z in memo.items():
+        u, v = Element.monomial(*bx), Element.monomial(*by)
+        assert z == multiply(u, v) - multiply(v, u), (bx, by)
 
 
 def test_element_container_behavior():

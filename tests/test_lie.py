@@ -314,6 +314,8 @@ def test_surrogate_residuals_zero():
                     res = surrogate_residual(ONE, side, l, n, k)
                     assert isinstance(res, KetImage)
                     assert res.is_zero(), (side, l, k, n)
+    for side in ("A", "B"):
+        assert surrogate_residual(RatFun.zero(), side, 2, 1, 1).is_zero()
 
 
 def test_surrogate_preconditions():

@@ -644,6 +644,16 @@ def test_coherent_vectors():
         assert coherent_vector(c, HALF, 300).residual < 1e-8, c
 
 
+@pytest.mark.parametrize("c", [0.7, 0.3 + 0.4j, 1.0])
+def test_coherent_residual_is_its_last_component(c):
+    # (Av)_n = c v_n except at n = N-1, where the truncation leaves 0
+    N = 300
+    alphas = weights(HALF, N).values
+    v = [c**n / math.prod(alphas[:n]) for n in range(N)]
+    want = abs(c * v[-1]) / math.sqrt(sum(abs(z) ** 2 for z in v))
+    assert coherent_vector(c, HALF, N).residual == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_coherent_outside_disk_flagged():
     w = coherent_vector(1.5, HALF, 120)
     assert w.outside_disk
