@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .ratfun import RF_ONE, RF_ONE_MINUS_Q, LinComb, RatFun, over_one_minus_q
+from . import rewrite
 from .rewrite import FreeElement, RuleSet, Word, normalize_free, word, word_str
 
 
@@ -176,20 +177,31 @@ def normalize(x, rules: RuleSet = COMPLETED) -> Element:
 
 def _pair_sum(x: Element, y: Element, memo: dict, f) -> Element:
     """Sum of cx cy f(bx, by) over the term pairs of x and y, with f memoized
-    in ``memo`` by (bx, by); a zero f(bx, by) is skipped."""
-
-    def pairs():
-        for bx, cx in x.terms.items():
-            for by, cy in y.terms.items():
-                z = memo.get((bx, by))
-                if z is None:
-                    z = memo[bx, by] = f(bx, by)
-                if z.terms:
-                    c = cx * cy
-                    for bw, w in z.terms.items():
-                        yield bw, c * w
-
-    return Element.collect(pairs())
+    in ``memo`` by (bx, by); a zero f(bx, by) is skipped.  The terms go into
+    one map in the order ``Element.collect`` gives the pair stream, and no
+    product with ``RF_ONE`` (the coefficient of A, B, C) is formed."""
+    acc = {}
+    for bx, cx in x.terms.items():
+        for by, cy in y.terms.items():
+            z = memo.get((bx, by))
+            if z is None:
+                if len(memo) >= rewrite.MAX_MEMO_ENTRIES:
+                    memo.clear()
+                z = memo[bx, by] = f(bx, by)
+            if not z.terms:
+                continue
+            c = cy if cx is RF_ONE else cx if cy is RF_ONE else cx * cy
+            for bw, w in z.terms.items():
+                if c is not RF_ONE:
+                    w = c * w
+                prev = acc.get(bw)
+                if prev is None:
+                    acc[bw] = w
+                elif (w := prev + w)._cn:
+                    acc[bw] = w
+                else:
+                    del acc[bw]
+    return Element._of(acc)
 
 
 def multiply(x: Element, y: Element, rules: RuleSet = COMPLETED) -> Element:

@@ -80,7 +80,7 @@ def _parse_complex(text: str) -> complex:
 # -- per-command handlers -------------------------------------------------------
 #
 # Each returns (payload, text_lines).  Payload values may be RatFun, Element
-# or FreeElement; main encodes them, in JSON mode only, by expr.json_default.
+# or FreeElement; main encodes them, in JSON mode only, by expr.json_text.
 
 
 def _cmd_normalize(args):
@@ -416,6 +416,9 @@ def main(argv=None) -> int:
         command = f"verify {args.verify_command}"
     try:
         payload, lines = args.handler(args)
+        if args.json:
+            # encoded first, so a document over its budget prints nothing
+            text = expr.json_text({"command": command, "format_version": 1, "result": payload})
     except expr.ParseError as e:
         print(f"syntax error: {e}", file=sys.stderr)
         return 2
@@ -426,11 +429,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     if args.json:
-        import json
-
-        doc = {"command": command, "format_version": 1, "result": payload}
-        json.dump(doc, sys.stdout, indent=2, default=expr.json_default)
-        sys.stdout.write("\n")
+        sys.stdout.write(text + "\n")
     else:
         for line in lines:
             print(line)

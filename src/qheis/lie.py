@@ -152,16 +152,12 @@ def verify_fredholm_relations():
     return left, right
 
 
-def _gamma_of_chain(k: int, t: Element) -> Element:
-    """gamma(k) from t = (ad C)^(k+1) A."""
-    return bracket(B, t).scale((-1) ** k)
-
-
 def gamma(k: int) -> Element:
     """The nested commutator (ad B)((-ad C)^k([C, A])), computed literally."""
     if k < 0:
         raise ValueError("gamma index must be nonnegative")
-    return _gamma_of_chain(k, ad_power(C, k + 1, A))
+    g = bracket(B, ad_power(C, k + 1, A))
+    return -g if k & 1 else g
 
 
 def build_ck_al_via_ad(k: int, l: int) -> Element:
@@ -201,14 +197,17 @@ def gamma_closed_form_rhs(k: int) -> Element:
 def gamma_sum_rhs(k: int) -> Element:
     """(q^k / {k+1}_q) * sum_{i=0..k} (q-1)^(-(i+1)) gamma(i), which is
     claimed to rebuild C^(k+2) from the engine-computed gamma values; one
-    chain t = (ad C)^(i+1) A, stepped once per i, serves every gamma(i)."""
-    q = RatFun.q_power(1)
-    total = Element.zero()
+    chain t = (ad C)^(i+1) A, stepped once per i, serves every gamma(i), and
+    s = (-1)^i (q-1)^(-(i+1)), the factor of [B, t], steps by 1/(1-q)."""
+    step = RF_ONE / RF_ONE_MINUS_Q
+    s = -RF_ONE
+    pairs = []
     t = A
-    for i in range(k + 1):
+    for _ in range(k + 1):
         t = bracket(C, t)
-        total = total + _gamma_of_chain(i, t).scale(((q - RF_ONE) ** (i + 1)).inverse())
-    return total.scale(RatFun.q_power(k) / qbracket(k + 1))
+        s = s * step
+        pairs.extend((bw, s * c) for bw, c in bracket(B, t).terms.items())
+    return Element.collect(pairs).scale(RatFun.q_power(k) / qbracket(k + 1))
 
 
 def verify_identity_suite(kmax: int, lmax: int):

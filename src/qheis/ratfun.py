@@ -30,8 +30,10 @@ fraction-free and runs on the integers and integer tuples, by module-private
 functions; it computes a gcd only where a common factor can appear.  A
 product adds the valuations and cross-cancels gcd(N1, D2) and gcd(N2, D1),
 and by Gauss's lemma nothing else can cancel; the contents cross-cancel the
-same way, gcd(cn1, cd2) and gcd(cn2, cd1) (Knuth, TAOCP vol. 2, 4.5.1).  A
-sum aligns both valuations to the smaller ones, combines, and strips q and
+same way, gcd(cn1, cd2) and gcd(cn2, cd1) (Knuth, TAOCP vol. 2, 4.5.1).
+Where all four cores are 1 (c q^v (q - 1)^w, most coefficients of the
+identity suite), it ends there; values are built by the bound slot setters.
+A sum aligns both valuations to the smaller ones, combines, and strips q and
 q - 1 from the result by its constant term and its coefficient sum
 (synthetic division at q = 1).  Over one denominator D it then takes one gcd
 of the new numerator with D; otherwise it follows Henrici, splitting off
@@ -371,18 +373,17 @@ def _poly(p) -> QPolynomial:
 
 
 _new = object.__new__
-_set = object.__setattr__
 
 
 def _ratfun(cn: int, cd: int, v: int, w: int, n: tuple, d: tuple) -> "RatFun":
     """Wrap the six canonical parts (see the module docstring)."""
     out = _new(RatFun)
-    _set(out, "_cn", cn)
-    _set(out, "_cd", cd)
-    _set(out, "_v", v)
-    _set(out, "_w", w)
-    _set(out, "_n", n)
-    _set(out, "_d", d)
+    _set_cn(out, cn)
+    _set_cd(out, cd)
+    _set_v(out, v)
+    _set_w(out, w)
+    _set_n(out, n)
+    _set_d(out, d)
     return out
 
 
@@ -410,6 +411,8 @@ def _product(x: "RatFun", c: int, d: int, v: int, w: int, n2: tuple, d2: tuple) 
         if g != 1:
             c, b = c // g, b // g
     n1, d1 = x._n, x._d
+    if n1 == d1 == n2 == d2 == _ONE:
+        return _ratfun(a * c, b * d, x._v + v, x._w + w, _ONE, _ONE)
     if n1 != _ONE and d2 != _ONE:
         g = _gcd(n1, d2)
         if g != _ONE:
@@ -542,7 +545,7 @@ class RatFun:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
+        other = other if type(other) is RatFun else self._coerce(other)
         if other is None:
             return NotImplemented
         c1, c2 = self._cn, other._cn
@@ -601,7 +604,7 @@ class RatFun:
         return other - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = other if type(other) is RatFun else self._coerce(other)
         if other is None:
             return NotImplemented
         return _product(self, other._cn, other._cd, other._v, other._w, other._n, other._d)
@@ -700,6 +703,8 @@ class RatFun:
     def __repr__(self) -> str:
         return f"RatFun({self})"
 
+
+_set_cn, _set_cd, _set_v, _set_w, _set_n, _set_d = (RatFun.__dict__[name].__set__ for name in RatFun.__slots__)
 
 RF_ZERO = _ratfun(0, 1, 0, 0, (), _ONE)
 RF_ONE = _ratfun(1, 1, 0, 0, _ONE, _ONE)
@@ -805,16 +810,21 @@ class LinComb:
 
     @classmethod
     def _sum(cls, pairs) -> dict:
+        """The term map of ``collect``: a key leaves when its running sum is
+        zero and goes to the end if it comes back; only new keys coerce."""
         key = cls._key
         acc = {}
         for k, c in pairs:
             k = key(k)
             prev = acc.get(k)
-            c = as_ratfun(c) if prev is None else prev + c
-            if c.is_zero():
-                acc.pop(k, None)
-            else:
+            if prev is not None:
+                c = prev + c
+            elif type(c) is not RatFun:
+                c = as_ratfun(c)
+            if c._cn:
                 acc[k] = c
+            elif prev is not None:
+                del acc[k]
         return acc
 
     @classmethod
@@ -856,8 +866,10 @@ class LinComb:
         return self + (-other)
 
     def scale(self, c):
-        c = as_ratfun(c)
-        if c.is_zero():
+        c = c if type(c) is RatFun else as_ratfun(c)
+        if c is RF_ONE:
+            return self
+        if not c._cn:
             return self.zero()
         return self._of({k: c * x for k, x in self.terms.items()})
 

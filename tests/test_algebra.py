@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import basis_words_up_to, random_element
 from qheis import expr
@@ -21,6 +23,7 @@ from qheis.algebra import (
     adjoint,
     bracket,
     element_power,
+    monomial_product,
     multiply,
     multiply_cascade,
     normalize,
@@ -298,3 +301,95 @@ def test_element_container_behavior():
     assert (x - x).is_zero()
     assert str(Element.zero()) == "0"
     assert Element({BasisWord(0, 0, 0): RatFun.zero()}).is_zero()
+
+
+# -- the term order of products and brackets -----------------------------------
+#
+# multiply and bracket sum their terms into one map directly; the order of
+# that map must be the one Element.collect gives over the same pair stream,
+# because numeric code sums floats in term order.
+
+ORDER_WORDS = [bw for bw in basis_words_up_to(2) if bw.degree <= 3]
+#: the singleton one, two units that are not it, and coefficients that cancel
+ORDER_COEFFS = [
+    ONE,
+    RatFun.from_fraction(1),
+    RatFun(QPolynomial((1,))),
+    -ONE,
+    RF_Q,
+    -RF_Q,
+    RatFun.from_fraction(2),
+    INV,
+]
+#: pairs with a product or commutator stream, in one order or the other,
+#: that removes a key at a zero running sum and adds it back
+READDING_PAIRS = [
+    ("(1)*B*C + (q)*B*C^2", "(q)*B + (q)*A^2 + (-1)*C*A^2"),
+    ("(2)*A^2 + (q)*C*A^2", "(-1)*B + (-q)*B*C + (2)*C*A^2"),
+    ("(1)*B^2 + (1)*B^2*C", "(1)*A + (-1)*C*A + (q)*B*C"),
+]
+
+
+def _commutator_of(bx, by):
+    return monomial_product(bx, by) - monomial_product(by, bx)
+
+
+def _pair_stream(x, y, f):
+    for bx, cx in x.terms.items():
+        for by, cy in y.terms.items():
+            for bw, w in f(bx, by).terms.items():
+                yield bw, cx * cy * w
+
+
+def _readds_a_key(pairs) -> bool:
+    acc, gone = {}, set()
+    for k, c in pairs:
+        if k in acc:
+            acc[k] = acc[k] + c
+            if acc[k].is_zero():
+                del acc[k]
+                gone.add(k)
+        elif k in gone:
+            return True
+        else:
+            acc[k] = c
+    return False
+
+
+def _assert_collect_order(x, y):
+    for got, f in ((multiply(x, y), monomial_product), (bracket(x, y), _commutator_of)):
+        want = Element.collect(_pair_stream(x, y, f))
+        assert got == want
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
+elements = st.dictionaries(
+    st.sampled_from(ORDER_WORDS), st.sampled_from(ORDER_COEFFS), min_size=1, max_size=4
+).map(Element)
+
+
+@settings(max_examples=150, deadline=None)
+@given(elements, elements)
+def test_pair_sum_term_order_is_that_of_collect(x, y):
+    _assert_collect_order(x, y)
+
+
+@pytest.mark.parametrize("left, right", READDING_PAIRS)
+def test_pair_sum_term_order_with_a_key_that_comes_back(left, right):
+    x, y = expr.evaluate(left), expr.evaluate(right)
+    streams = [_pair_stream(u, v, f) for u, v in ((x, y), (y, x)) for f in (monomial_product, _commutator_of)]
+    assert any(map(_readds_a_key, streams))
+    _assert_collect_order(x, y)
+    _assert_collect_order(y, x)
+
+
+def test_units_that_are_not_the_singleton_give_the_same_products():
+    x, y = expr.evaluate(READDING_PAIRS[0][0]), expr.evaluate(READDING_PAIRS[0][1])
+    for unit in ORDER_COEFFS[1:3]:
+        assert unit is not ONE and unit == ONE
+        for u, v in ((x, y), (y, x), (A + B, C), (C, B)):
+            uu = Element({bw: unit * c for bw, c in u.terms.items()})
+            for f in (multiply, bracket):
+                got, want = f(uu, v), f(u, v)
+                assert list(got.terms.items()) == list(want.terms.items())
+            assert list(u.scale(unit).terms.items()) == list(u.scale(ONE).terms.items())

@@ -15,6 +15,7 @@ import pytest
 import qheis
 from qheis import expr
 from qheis.cli import main
+from qheis.ratfun import RatFun
 from qheis.schemas import OUTPUT_SCHEMA
 from qheis.spectral import MAX_DIM, apply_numeric
 
@@ -460,6 +461,7 @@ CHILD_WITHOUT_NUMPY = """
 import contextlib, io, json, sys
 sys.modules["numpy"] = None
 from qheis.cli import main
+from qheis.ratfun import RatFun
 results = []
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
@@ -484,6 +486,7 @@ NOT_AT_STARTUP = ("numpy", "dataclasses", "inspect", "json", "qheis.lie", "qheis
 CHILD_LOADED_LAYERS = """
 import contextlib, io, json, sys
 from qheis.cli import main
+from qheis.ratfun import RatFun
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
@@ -515,3 +518,44 @@ def test_numpy_free_commands_run_without_numpy(capsys):
     for argv, (code, out) in zip(NUMPY_FREE, results, strict=True):
         expected_code = main(argv)
         assert [code, out] == [expected_code, capsys.readouterr().out], argv
+
+
+def test_json_entries_are_the_dense_lengths():
+    values = [RatFun.zero(), RatFun.one(), RatFun.q_power(-7), expr.parse_ratfun("q^3*(1-q)^4/(2 - q)")]
+    values += [expr.parse_ratfun(f"(q^{a}*(1-q)^{b})/((1-q)^{c}*q^{d}*(3 + q^2))") for a, b, c, d in ((0, 5, 2, 1), (4, 0, 6, 0), (2, 2, 2, 2))]
+    x = expr.evaluate("(A+B)^5 - 3/(1-q)^4*C^2*A")
+    values += list(x.terms.values())
+    for c in values:
+        doc = expr.ratfun_json(c)
+        assert expr.json_entries(c) == len(doc["num"]) + len(doc["den"]), c
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["apply", "C", "--n", "10000000", "--json"], ["normalize", "q^2000000*A", "--json"]],
+)
+def test_json_past_its_budget_is_refused_quickly(capsys, argv):
+    start = time.perf_counter()
+    assert main(argv) == 1
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err.startswith("error: ") and "MAX_JSON_COEFFS" in err.err
+    assert elapsed < 2.0
+    # the text output of the same command is not budgeted
+    assert main(argv[:-1]) == 0
+    assert capsys.readouterr().out.count("q^") == 1
+
+
+def test_json_within_its_budget_is_printed(capsys, monkeypatch):
+    argv = ["normalize", "(A+B)^4", "--json"]
+    assert main(argv) == 0
+    full = capsys.readouterr().out
+    x = expr.evaluate("(A+B)^4")
+    entries = sum(map(expr.json_entries, x.terms.values()))
+    monkeypatch.setattr(expr, "MAX_JSON_COEFFS", entries)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == full
+    monkeypatch.setattr(expr, "MAX_JSON_COEFFS", entries - 1)
+    assert main(argv) == 1
+    assert capsys.readouterr().out == ""

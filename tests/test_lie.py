@@ -202,9 +202,10 @@ def test_gamma_vs_closed_form_disagrees_beyond_vacuum():
 
 
 def test_gamma_sum_equals_the_literal_sum_of_gammas():
-    # one stepped chain gives the same element, term for term and in the
-    # same order, as summing the separately computed gamma(i)
-    for k in range(12):
+    # one stepped chain and one pass over every term give the same element,
+    # term for term and in the same order, as summing the separately
+    # computed gamma(i) one at a time
+    for k in range(13):
         total = Element.zero()
         for i in range(k + 1):
             total = total + gamma(i).scale(((RF_Q - ONE) ** (i + 1)).inverse())

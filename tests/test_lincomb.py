@@ -94,6 +94,18 @@ def test_collect_keeps_the_order_of_repeated_addition(kind):
     assert list(collected.terms.items()) == list(total.terms.items())
 
 
+def test_scale_by_units_ints_and_zero(kind):
+    cls, keys = kind
+    x, _, _ = samples(cls, keys)
+    assert x.scale(ONE) is x
+    for unit in (1, RatFun.from_fraction(1), RatFun(QPolynomial((1,)))):
+        assert list(x.scale(unit).terms.items()) == list(x.terms.items())
+    assert x.scale(3) == x.scale(RatFun.from_fraction(3)) == x + x + x
+    assert x.scale(0).is_zero() and x.scale(RatFun.zero()).is_zero()
+    with pytest.raises(TypeError):
+        x.scale("x")
+
+
 @pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS.keys())
 def test_combinations_survive_pickle_and_copy(kind, copier):
     cls, (k1, k2, k3) = kind

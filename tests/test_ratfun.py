@@ -268,3 +268,36 @@ def test_arithmetic_matches_sympy_cancel():
     y = ONE / (RF_ONE_MINUS_Q * RatFun(QPolynomial((-3, 1))))
     assert ours(x + y) == canonical(1 / ((1 - qs) * (1 + qs)) + 1 / ((1 - qs) * (qs - 3)))
     assert (x + y).den.degree == 2
+
+
+def _values():
+    rng = random.Random(25)
+    values = [RatFun.zero(), ONE, RF_Q, RF_ONE_MINUS_Q, ONE / RF_ONE_MINUS_Q, qbracket(3), -qbracket(4) / RF_Q**3]
+    values += [RatFun(*random_qpoly_pair(rng)) for _ in range(30)]
+    return values
+
+
+def test_units_that_are_not_the_singleton_act_as_one():
+    units = [RatFun.from_fraction(1), RatFun(QPolynomial((1,))), RF_Q / RF_Q]
+    for unit in units:
+        assert unit is not ONE and unit == ONE and hash(unit) == hash(ONE)
+        for x in _values():
+            for got in (x * unit, unit * x, x / unit):
+                assert got == x * ONE == x
+            assert x + unit == x + ONE == unit + x
+            assert x - unit == x - ONE
+
+
+def test_int_and_fraction_operands_still_coerce():
+    for x in _values():
+        assert x * 3 == 3 * x == x * RatFun.from_fraction(3)
+        assert x + Fraction(2, 3) == Fraction(2, 3) + x == x + RatFun.from_fraction(Fraction(2, 3))
+        assert x * 1 == x and x + 0 == x and x * 0 == RatFun.zero()
+    with pytest.raises(TypeError):
+        ONE * "x"
+    with pytest.raises(TypeError):
+        ONE + "x"
+    with pytest.raises(TypeError):
+        "x" * RF_Q
+    with pytest.raises(TypeError):
+        ONE * 0.5

@@ -1,6 +1,7 @@
 """Reduction system: rule soundness, ambiguities, and confluence."""
 
 import pytest
+from conftest import basis_words_up_to
 
 from qheis.algebra import Element, I, multiply_cascade, reduce_word
 from qheis.ratfun import RF_ONE_MINUS_Q, RatFun
@@ -120,3 +121,36 @@ def test_free_element_algebra():
     assert x.scale(0).is_zero()
     assert x - x == FreeElement.zero()
     assert str(FreeElement.zero()) == "0"
+
+
+def test_memos_are_bounded_and_keep_every_result(monkeypatch):
+    from qheis import algebra, rewrite
+
+    words = [bw for bw in basis_words_up_to(3) if bw.degree <= 4]
+    monomials = [Element.monomial(*bw) for bw in words]
+    pairs = [(x, y) for x in monomials for y in monomials]
+    free_words = [word(t) for t in ("BA", "AB", "BAA", "ABB", "BBAA", "AABB", "BABA", "ABAB", "BCA", "ABCBA")]
+    want_nf = [word_normal_form(w, RuleSet("completed", COMPLETED.rules)) for w in free_words]
+    want_products = [multiply_cascade(x, y) for x, y in pairs]
+    cap = 5
+    monkeypatch.setattr(rewrite, "MAX_MEMO_ENTRIES", cap)
+    monkeypatch.setattr(algebra.COMPLETED, "_product_memo", {})
+    monkeypatch.setattr(algebra.COMPLETED, "_bracket_memo", {})
+    rules = RuleSet("completed", COMPLETED.rules)
+    for (x, y), want in zip(pairs, want_products):
+        assert algebra.multiply(x, y, rules) == want
+        assert algebra.bracket(x, y) == want - multiply_cascade(y, x)
+        assert len(rules._product_memo) <= cap
+        assert len(algebra.COMPLETED._product_memo) <= cap
+        assert len(algebra.COMPLETED._bracket_memo) <= cap
+    # a word normal form clears the memo only where a call misses, so it
+    # holds at most the cap plus what one cold reduction adds
+    sizes = []
+    for _ in range(3):
+        for w, want in zip(free_words, want_nf):
+            assert word_normal_form(w, rules) == want
+            fresh = RuleSet("completed", COMPLETED.rules)
+            word_normal_form(w, fresh)
+            assert len(rules._nf_memo) < cap + len(fresh._nf_memo), w
+            sizes.append(len(rules._nf_memo))
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))
