@@ -79,8 +79,9 @@ def _parse_complex(text: str) -> complex:
 
 # -- per-command handlers -------------------------------------------------------
 #
-# Each returns (payload, text_lines).  Payload values may be RatFun, Element
-# or FreeElement; main encodes them, in JSON mode only, by expr.json_text.
+# Each returns (payload, text_lines).  Payload values may be RatFun, Element,
+# FreeElement or expr.IndexList; main encodes them, in JSON mode only, by
+# expr.json_text.
 
 
 def _cmd_normalize(args):
@@ -151,7 +152,7 @@ def _cmd_apply(args):
             {
                 "target": target,
                 "scalars": [
-                    {"coeff": s.coeff, "radicand": list(s.radicand)} for s in ki.scalars(target)
+                    {"coeff": s.coeff, "radicand": expr.IndexList(s.radicand)} for s in ki.scalars(target)
                 ],
             }
             for target in ki.targets()

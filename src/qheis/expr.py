@@ -35,8 +35,10 @@ from .rewrite import FreeElement, word_str
 #: (A+B)^12, 4096 words, is the largest power of A+B it admits.
 MAX_FREE_PAIRS = 4096
 
-#: Most ``num``/``den`` entries one JSON document may hold (2-vCPU Xeon): "A^100*B^100"
-#: (348,652) prints 14 MB in 1.2 s; "A^150*B^150" (1,159,227), 57 MB in 3.6 s, is refused.
+#: Most ``num``/``den`` entries and ``IndexList`` ints one JSON document may hold
+#: (2-vCPU Xeon): "A^100*B^100" (348,652) prints 14 MB in 1.2 s; "A^150*B^150"
+#: (1,159,227), 57 MB in 3.6 s, is refused, and so is ``apply "B^1000000" --n 0``,
+#: whose one radicand has 10^6 indices.
 MAX_JSON_COEFFS = 1_000_000
 
 
@@ -398,10 +400,22 @@ def element_json(x: Element) -> dict:
     }
 
 
+class IndexList:
+    """Ints that ``json_text`` writes as one list and charges to its budget,
+    one entry each; a plain list or tuple is written without passing it."""
+
+    __slots__ = ("items",)
+
+    def __init__(self, items):
+        self.items = items
+
+
 def json_default(value):
     """The ``default`` hook of ``json_text``: the JSON form of a ``RatFun``,
-    an ``Element`` or a ``FreeElement``."""
+    an ``Element``, a ``FreeElement`` or an ``IndexList``."""
     # called by their module names, which perfbench/tracing.py rebinds
+    if isinstance(value, IndexList):
+        return list(value.items)
     if isinstance(value, RatFun):
         return ratfun_json(value)
     if isinstance(value, Element):
@@ -427,8 +441,11 @@ def json_text(doc) -> str:
 
     def default(value):
         nonlocal budget
-        coeffs = value.terms.values() if isinstance(value, LinComb) else (value,)
-        budget -= sum(json_entries(c) for c in coeffs if isinstance(c, RatFun))
+        if isinstance(value, IndexList):
+            budget -= len(value.items)
+        else:
+            coeffs = value.terms.values() if isinstance(value, LinComb) else (value,)
+            budget -= sum(json_entries(c) for c in coeffs if isinstance(c, RatFun))
         if budget < 0:
             raise ValueError(f"JSON output over MAX_JSON_COEFFS = {MAX_JSON_COEFFS} coefficient entries")
         return json_default(value)

@@ -64,10 +64,32 @@ offsets.  With s0 the least offset and g the gcd of the differences
 s - s0, column j meets only rows congruent to j + s0 mod g, so the columns
 of each residue class r mod g and the rows of class r + s0 hold whole
 components, and the norm is the largest of the norms of these g blocks.
-Several bands take one LAPACK singular value decomposition per nonempty
-block, about N^3/g^2 work in all; for g = 1 the one block is the whole
-truncation.  One band is the limiting case where every component is one
-entry: the singular values are the absolute entries, so the norm is the
+Bands with C decay like q^(kn), so far enough down the basis a block is,
+to far below one rounding, only its non-compact part, and it is cut there.
+With top the largest absolute entry of the truncation, which is at most
+its norm, an entry is kept when it exceeds tau = 2^-64 top over the number
+of bands.  The first and last kept row of each column are read off the
+band diagonals.  Column p of a block starts a new piece when it keeps an
+entry, an earlier column does too, and the largest row kept before p lies
+above the least row kept from p on, where the rows split.  A piece that
+keeps one entry gives its absolute value, any other piece the largest
+singular value of its whole rectangle, dropped entries included, by one
+LAPACK SVD; the norm is the largest of these.  Every entry outside that
+sum of rectangles and single entries is dropped, at most tau, and the
+dropped entries of one band form a partial weighted shift of norm at most
+tau, so all of them together have norm at most 2^-64 top.  By Weyl's
+inequality for singular values, |s_max(T) - s_max(T')| <= ||T - T'||, the
+norm therefore moves by at most 2^-64 times itself, far below the 2^-53 of
+one rounding, before LAPACK rounds it.  A block with no cut that keeps
+more than one entry reaches LAPACK whole, so its norm is the one that SVD
+gave before the cut, bit for bit.  No cut falls inside a block of A + B,
+A + B + C or A + B^2 + C, and a C band at q = 99/100 stays above the cut
+below MAX_DIM (q^n must pass n = 4400 to fall that far); there a block is
+cut only where it already splits, at an edge of the truncation or at a
+coefficient that vanishes at q0.  At q = 1/2, C + B keeps its C band only
+in columns 0 ... 64, and LAPACK takes one 66 x 65 piece instead of the
+whole truncation.  One band is the limiting case where every component is
+one entry: the singular values are the absolute entries, so the norm is the
 largest of them (the sup-of-weights norm of a weighted shift, Shields
 1974), correctly rounded and read off the band fill without a dense array,
 numpy or an O(N^3) decomposition.  There is no iterative estimate: the top
@@ -116,7 +138,8 @@ if TYPE_CHECKING:
 #: magnitudes below this are purged from sparse vectors
 PURGE_EPS = 1e-300
 #: largest dimension of ``matrix``, whose dense array takes 8 N^2 bytes and
-#: whose SVD in ``op_norm`` takes O(N^3) time, and largest N of ``op_norm``,
+#: whose SVD in ``op_norm`` takes O(N^3) time where no block is cut (A + B +
+#: C, say), and far less where a compact band is, and largest N of ``op_norm``,
 #: ``weights``, the estimators and the decay report, whose exact q-integers
 #: take O(N^2) bits
 MAX_DIM = 2000
@@ -130,6 +153,11 @@ MAX_DIM = 2000
 MAX_RADICAND_BITS = 2_000_000
 #: bits of the bounds from which ``_power_float`` rounds a power of q
 _POWER_BITS = 128
+#: an entry of a truncation of several bands is dropped where it splits a
+#: residue-class block when it is at most this times its largest entry over
+#: its number of bands, which moves the norm by at most this relative amount
+#: (see the module notes)
+_DROP = 2.0**-64
 
 
 def _check_dim(N: int) -> None:
@@ -308,7 +336,9 @@ def op_norm(x: Element, q0, N: int) -> float:
     """Largest singular value of the N x N truncation of x, exactly, with no
     row >= N computed: the largest absolute entry when x is one band, read
     from its peak column alone when x is one term with entries inside, else
-    the largest LAPACK SVD of the residue-class blocks (see the module notes)."""
+    the largest over the pieces of its residue-class blocks: the absolute
+    entry of a piece that keeps one, the LAPACK SVD of any other (see the
+    module notes)."""
     if N < 2:
         raise ValueError("norm estimation needs dimension at least 2")
     _check_dim(N)
@@ -328,12 +358,47 @@ def op_norm(x: Element, q0, N: int) -> float:
     data = matrix(x, q0, N).data
     import numpy as np
 
+    # band s holds the entry of row j + s in column j, for j in [max(-s, 0), ...)
+    diagonals = [(s, max(-s, 0), np.abs(np.diagonal(data, -s))) for s in sorted(offsets)]
+    top = max((float(d.max()) for *_, d in diagonals if d.size), default=0.0)
+    tau = _DROP * top / len(offsets)
+    # the first and last kept row of each column (N and -1 where it keeps
+    # none; the offsets ascend, so the last store is the last row), its
+    # count of kept entries and its largest kept entry
+    first, last = np.full(N, N), np.full(N, -1)
+    count, peak = np.zeros(N, dtype=int), np.zeros(N)
+    for s, j0, d in diagonals:
+        kept = np.flatnonzero(d > tau)
+        cols = kept + j0
+        first[cols] = np.minimum(first[cols], cols + s)
+        last[cols] = cols + s
+        count[cols] += 1
+        peak[cols] = np.maximum(peak[cols], d[kept])
     # column j has nonzeros only in rows j + s with s = s0 (mod g), so the
     # residue classes r of the columns split the truncation into blocks
     s0 = min(offsets)
     g = math.gcd(*(s - s0 for s in offsets))
-    blocks = (data[(r + s0) % g :: g, r::g] for r in range(min(g, N)))
-    return max((float(np.linalg.svd(blk, compute_uv=False)[0]) for blk in blocks if blk.size), default=0.0)
+    norm = 0.0
+    for r in range(min(g, N)):
+        r0 = (r + s0) % g
+        blk, counts = data[r0::g, r::g], count[r::g]
+        if not blk.size or not counts.any():
+            continue
+        # a cut before block column p, where p keeps an entry, an earlier
+        # column does too, and every row kept before p lies above every row
+        # kept from p on; the rows split at the first of the latter
+        before = np.maximum.accumulate(last[r::g])[:-1]
+        after = np.minimum.accumulate(first[r::g][::-1])[::-1][1:]
+        cuts = np.flatnonzero((counts[1:] > 0) & (before >= 0) & (before < after))
+        col_bounds = [0, *(cuts + 1).tolist(), blk.shape[1]]
+        row_bounds = [0, *((after[cuts] - r0) // g).tolist(), blk.shape[0]]
+        sizes = np.add.reduceat(counts, col_bounds[:-1])
+        singles = np.maximum.reduceat(peak[r::g], col_bounds[:-1])[sizes == 1]
+        norm = max(norm, float(singles.max(initial=0.0)))
+        for i in np.flatnonzero(sizes > 1).tolist():
+            piece = blk[row_bounds[i] : row_bounds[i + 1], col_bounds[i] : col_bounds[i + 1]]
+            norm = max(norm, float(np.linalg.svd(piece, compute_uv=False)[0]))
+    return norm
 
 
 def _log_weights(q0, kmax: int, N: int, lo: int) -> list:

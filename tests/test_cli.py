@@ -385,6 +385,13 @@ def test_norm_of_two_wide_bands_within_its_column_bounds(capsys):
     assert value <= (col[599] + apply_numeric(x, 599, "1/2")[596]) * (1 + 1e-12)
 
 
+def test_norm_of_a_compact_band_plus_a_shift_at_max_dim(capsys):
+    # q^n falls below the cut past n = 64, so LAPACK sees one 66 x 65 piece
+    # instead of the whole 2000 x 2000 truncation, which took 2.27 s; the
+    # printed value is the one that whole SVD gave
+    assert _timed_norm(capsys, ["C+B", "--q", "1/2", "--dim", str(MAX_DIM)], 2.0) == 1.5671766737667177
+
+
 def test_norm_skips_a_band_outside_the_truncation(capsys):
     # no entry of B^1200 lies inside a dimension 20, so only C is computed;
     # filling B^1200 in full took minutes at q = 1/100
@@ -545,6 +552,28 @@ def test_json_past_its_budget_is_refused_quickly(capsys, argv):
     # the text output of the same command is not budgeted
     assert main(argv[:-1]) == 0
     assert capsys.readouterr().out.count("q^") == 1
+
+
+def test_json_radicands_count_against_the_budget(capsys, monkeypatch):
+    # one radicand of 10^6 indices and its coefficient pass the budget: 21.9 MB
+    # were printed before the indices were counted
+    start = time.perf_counter()
+    assert main(["apply", "B^1000000", "--n", "0", "--json"]) == 1
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err.startswith("error: ") and "MAX_JSON_COEFFS" in err.err
+    assert elapsed < 2.0
+    # B^2 on v_1: the radicand [2, 3] and the coefficient's num [1] and den [1]
+    argv = ["apply", "B^2", "--n", "1", "--json"]
+    assert main(argv) == 0
+    full = capsys.readouterr().out
+    monkeypatch.setattr(expr, "MAX_JSON_COEFFS", 4)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == full
+    monkeypatch.setattr(expr, "MAX_JSON_COEFFS", 3)
+    assert main(argv) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_json_within_its_budget_is_printed(capsys, monkeypatch):
