@@ -148,6 +148,10 @@ def _cmd_apply(args):
         from . import lie
 
         ki = lie.apply_symbolic(x, args.n)
+        # the text lists every scalar and every index of its radicand
+        items = sum(1 + len(rad) for _target, rad in ki.terms)
+        if items > expr.MAX_JSON_COEFFS:
+            raise ValueError(f"{items} scalars and radicand indices are over MAX_JSON_COEFFS = {expr.MAX_JSON_COEFFS}")
         entries = [
             {
                 "target": target,

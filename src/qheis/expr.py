@@ -35,10 +35,12 @@ from .rewrite import FreeElement, word_str
 #: (A+B)^12, 4096 words, is the largest power of A+B it admits.
 MAX_FREE_PAIRS = 4096
 
-#: Most ``num``/``den`` entries and ``IndexList`` ints one JSON document may hold
+#: Most ``num``/``den`` entries and ``IndexList`` ints one JSON document may
+#: hold, and most scalars and radicand indices the text of an exact ``apply``
+#: may list
 #: (2-vCPU Xeon): "A^100*B^100" (348,652) prints 14 MB in 1.2 s; "A^150*B^150"
 #: (1,159,227), 57 MB in 3.6 s, is refused, and so is ``apply "B^1000000" --n 0``,
-#: whose one radicand has 10^6 indices.
+#: text or JSON, whose one radicand has 10^6 indices.
 MAX_JSON_COEFFS = 1_000_000
 
 

@@ -19,8 +19,8 @@ from the bands.  All exact work is on plain unreduced Python ints and takes no
 gcd.  With q0 = u/v, each monomial coefficient is evaluated at q0 once per
 call; the terms of a band keep integer numerators over one integer
 denominator, stepped by powers of u and v from column to column; and the
-q-integer radicands {m}_q come as integer pairs N_m / v^(m-1) from a table
-over the window the requested columns touch.  Terms with equal (b, a) share
+q-integer radicands {m}_q = N_m / v^(m-1) come as their numerators N_m
+from one table, computed as far as the columns read it.  Terms with equal (b, a) share
 target and radicand and merge exactly, as in ``lie.apply_symbolic``; each
 merged scalar c * sqrt(r) is then rounded once, as the square root of one
 int/int true division for c^2 r, with the sign of c (``ratfun.signed_root``).
@@ -43,6 +43,33 @@ running numerators and denominator of a band whose largest C-power is K
 have about K m bit_length(v) bits each, which the rounding squares.  A fill
 whose last column would pass ``MAX_RADICAND_BITS`` in all is refused before
 any power or q-integer is computed.
+
+Past about 53 / log2(1/q) columns the compact part of the weights is below
+one rounding (the Calkin image of B is (1-q)^(-1/2) times the unilateral
+shift), and the exact arithmetic stops there.  {m}_q rises strictly toward
+1/(1-q) = v/(v-u), and rounding to nearest is monotone, so once {m}_q
+rounds to the double of v/(v-u), every later q-integer rounds to it too:
+the weights, and through them the coherent vector, and the log weights of
+the estimators round the exact q-integers up to that index only and repeat
+the limit, with one square root or log of it, for the rest of the window
+(m = 54 at q = 1/2, 131 at q = 3/4, 3700 at q = 99/100, past ``MAX_DIM``).
+A band with no C is one term c B^b A^a, whose squared entries c^2 {m+1}_q
+... {m+h}_q, h = a + b, rise strictly toward c^2 / (1-q)^h = c^2 v^h /
+(v-u)^h.  ``signed_root`` is monotone in c^2 r: it rounds it once, takes
+the square root, and scales by a power of two that is exact or, below the
+normal range, rounds once more, each step monotone whatever power of four
+the unreduced operands pick; so is the purge.  So the fill of such a band
+stops at the first column whose entry equals the limit entry, which
+``signed_root`` rounds from (cn, cd, v^h, (v-u)^h) and which takes the
+guard of the entries (0.0 where c vanishes at q0 or the limit is purged,
+never the -0.0 that ``signed_root`` gives of a zero c), and repeats it for
+the remaining columns.  Where the limit itself is past the float range no
+column equals it, and a column that is past it too raises as before.  The
+q-integer numerators are one tee, read only as far as the columns read
+them, so at q = 1/2 the 100-wide radicand window of B^100 is multiplied
+out for 55 columns, not N - 100.  Bands with C decay toward 0, and near
+q = 1 nothing saturates below ``MAX_DIM``: there the fill does the same
+work as a fill without the stop.
 
 The windowed geometric-mean estimators read one window each per length k.
 The weights increase strictly, so the geometric mean of k consecutive
@@ -125,8 +152,8 @@ import math
 from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
-from operator import mul
+from itertools import accumulate, islice, repeat, takewhile, tee
+from operator import itemgetter, mul
 from typing import TYPE_CHECKING
 
 from .algebra import Element
@@ -209,13 +236,28 @@ class WeightSequence(namedtuple("WeightSequence", "q0 values")):
     __slots__ = ()
 
 
+def _rounded_qintegers(q0: Fraction, lo: int, count: int) -> tuple:
+    """The q-integers {lo}_q ... {lo+count-1}_q of a window, each rounded
+    once from its exact integers, up to the first that rounds to the limit
+    1/(1-q) = v/(v-u), which every later one rounds to, and that limit (see
+    the module notes)."""
+    u, v = q0.numerator, q0.denominator
+    limit = v / (v - u)
+    head = []
+    for n, d in islice(_qintegers(q0, lo), count):
+        if (r := n / d) == limit:
+            break
+        head.append(r)
+    return head, limit
+
+
 def weights(q0, N: int) -> WeightSequence:
     if N < 1:
         raise ValueError("need at least one weight")
     _check_dim(N)
     q0 = NumericQ.coerce(q0)
-    vals = tuple(math.sqrt(n / d) for n, d in islice(_qintegers(q0.value, 1), N))
-    return WeightSequence(q0=q0, values=vals)
+    head, limit = _rounded_qintegers(q0.value, 1, N)
+    return WeightSequence(q0=q0, values=(*map(math.sqrt, head), *[math.sqrt(limit)] * (N - len(head))))
 
 
 def _bands(x: Element, q0: Fraction, start: int, stop: int, rows: float = math.inf):
@@ -236,7 +278,7 @@ def _bands(x: Element, q0: Fraction, start: int, stop: int, rows: float = math.i
     # numerator of term i steps by u^k_i v^(K - k_i) and the denominator by
     # v^K; the radicand {m+1}_q ... {m+h}_q of column m, h = a + b, has the
     # denominator v^(h m + h(h-1)/2), which steps by v^h
-    # (b, a, first and end m, and the running integers at m = 0 and their
+    # (b, a, K, first and end m, and the running integers at m = 0 and their
     # steps: the term numerators, the denominator and the radicand denominator)
     bands = []
     for (b, a), parts in groups.items():
@@ -255,24 +297,45 @@ def _bands(x: Element, q0: Fraction, start: int, stop: int, rows: float = math.i
         common = math.lcm(*(c.denominator for _, c in parts))
         firsts = [c.numerator * (common // c.denominator) for _, c in parts] + [common, v ** (h * (h - 1) // 2)]
         steps = [u**k * v ** (top - k) for k, _ in parts] + [v**top, v**h]
-        bands.append((b, a, m0, m1, firsts, steps))
-    # the exact q-integers are tabulated over the window the columns read
-    lo = min((m0 for _, _, m0, *_ in bands), default=0) + 1
-    end = max((m1 + a + b for b, a, _, m1, *_ in bands), default=lo)
-    rad_nums = [r for r, _ in islice(_qintegers(q0, lo), end - lo)]
-    for b, a, m0, m1, firsts, steps in bands:
-        count, i = m1 - m0, m0 + 1 - lo
+        bands.append((b, a, top, m0, m1, firsts, steps))
+    # the exact q-integer numerators from the first column on, computed once,
+    # as far as the columns read them, and shared by the bands through copies
+    # of one tee, whose buffer holds every numerator from its start
+    lo = min((m0 for _, _, _, m0, *_ in bands), default=0) + 1
+    rad_nums = tee(map(itemgetter(0), _qintegers(q0, lo)), 1)[0]
+    for b, a, top, m0, m1, firsts, steps in bands:
+        count, i, h = m1 - m0, m0 + 1 - lo, a + b
+        # the radicand numerator of column m: the h q-integer numerators from m + 1
+        windows = (islice(rad_nums.__copy__(), i + j, i + j + count) for j in range(h))
+        rads = map(math.prod, zip(*windows)) if h else repeat(1)
         # the running integers of the columns m0 ... m1 - 1, one stream each
         *nums, dens, rad_dens = (
             accumulate(repeat(s, count - 1), mul, initial=f * s**m0) for f, s in zip(firsts, steps)
         )
-        cns = nums[0] if len(nums) == 1 else map(sum, zip(*nums))
-        # the radicand numerator of column m: the h q-integer numerators from m + 1
-        rads = map(math.prod, zip(*(rad_nums[i + j : i + j + count] for j in range(a + b)))) if a + b else repeat(1)
-        yield b, a, m0, [
-            value if cn and abs(value := signed_root(cn, cd, rn, rd)) >= PURGE_EPS else 0.0
-            for cn, cd, rn, rd in zip(cns, dens, rads, rad_dens)
-        ]
+        if top or count == 1:
+            cns = nums[0] if len(nums) == 1 else map(sum, zip(*nums))
+            yield b, a, m0, [
+                value if cn and abs(value := signed_root(cn, cd, rn, rd)) >= PURGE_EPS else 0.0
+                for cn, cd, rn, rd in zip(cns, dens, rads, rad_dens)
+            ]
+            continue
+        # one term c B^b A^a over several columns, whose entries rise in
+        # magnitude toward the limit entry c (1-q)^(-h/2): from the first
+        # column that rounds to it every later one does too (see the module
+        # notes)
+        cn, cd = firsts[0], firsts[1]
+        try:
+            limit = signed_root(cn, cd, v**h, (v - u) ** h) if cn else 0.0
+        except OverflowError:
+            # no finite entry equals it, and a column past the float range raises
+            limit = math.inf
+        if abs(limit) < PURGE_EPS:
+            yield b, a, m0, [0.0] * count
+            continue
+        head = list(takewhile(limit.__ne__, map(signed_root, repeat(cn), repeat(cd), rads, rad_dens)))
+        if head and abs(head[0]) < PURGE_EPS:
+            head = [value if abs(value) >= PURGE_EPS else 0.0 for value in head]
+        yield b, a, m0, head + [limit] * (count - len(head))
 
 
 def apply_numeric(x: Element, n: int, q0) -> dict:
@@ -408,7 +471,8 @@ def _log_weights(q0, kmax: int, N: int, lo: int) -> list:
         raise ValueError("need kmax >= 1 and N > kmax")
     _check_dim(N)
     q0 = NumericQ.coerce(q0)
-    return [0.5 * math.log(n / d) for n, d in islice(_qintegers(q0.value, lo), kmax)]
+    head, limit = _rounded_qintegers(q0.value, lo, kmax)
+    return [0.5 * math.log(r) for r in head] + [0.5 * math.log(limit)] * (kmax - len(head))
 
 
 def spectral_radius_est(q0, kmax: int, N: int):

@@ -576,6 +576,28 @@ def test_json_radicands_count_against_the_budget(capsys, monkeypatch):
     assert capsys.readouterr().out == ""
 
 
+def test_text_radicands_count_against_the_budget(capsys, monkeypatch):
+    # the text of one radicand of 10^6 indices, 8.9 MB, was printed unbudgeted
+    start = time.perf_counter()
+    assert main(["apply", "B^1000000", "--n", "0"]) == 1
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err.startswith("error: ") and "MAX_JSON_COEFFS" in err.err
+    assert elapsed < 2.0
+    # B^3 on v_1 lists one scalar, whose radicand has the indices 2, 3, 4;
+    # the budget is inclusive
+    argv = ["apply", "B^3", "--n", "1"]
+    assert main(argv) == 0
+    full = capsys.readouterr().out
+    monkeypatch.setattr(expr, "MAX_JSON_COEFFS", 4)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == full
+    monkeypatch.setattr(expr, "MAX_JSON_COEFFS", 3)
+    assert main(argv) == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_json_within_its_budget_is_printed(capsys, monkeypatch):
     argv = ["normalize", "(A+B)^4", "--json"]
     assert main(argv) == 0

@@ -10,7 +10,11 @@ read its columns straight off the band fill and rounded the eigenvalues of
 one-band ``norm`` and the ``spectrum`` reports).  The identity suite at
 kmax = 16, lmax = 12, ``(A+B)^12`` and the hash corpus with q^v and
 (1 - q)^w above and below the line were taken before a ``RatFun`` carried
-those two valuations apart from its dense parts.  Rendering sorts terms, so
+those two valuations apart from its dense parts.  The window estimators,
+the coherent vector, the C-free ``norm`` and the deep numeric ``apply`` at
+q = 1/2, none of which calls LAPACK, were taken before the rounded
+q-integers and C-free band entries stopped their exact arithmetic at the
+limit they round to.  Rendering sorts terms, so
 neither the bracket memo nor the order in which a bracket meets its terms may
 show in the output.  Hashes of ints and of tuples of ints do not depend on
 the hash seed, and a constant hashes as the number it equals; CI runs this
@@ -36,6 +40,12 @@ APPLY = ["apply", "-3/7*B^2*C + 5/(1-q)*C^2*A - 2/3*q^2/(1-q)^2*C^3 + 4*B*C", "-
 NORM_PEAK = ["norm", "(-5/3)*q^2/(1-q)*B^2*C^3", "--q", "1/3", "--dim", "60"]
 #: one band with several C-powers, whose norm is read from all its columns
 NORM_BAND = ["norm", "4*B^2*C - 3*B^2*C^2 - 1/(1-q)*B^2*C^5", "--q", "1/3", "--dim", "60"]
+#: windows, weights and C-free entries far past where {m}_q rounds to 1/(1-q)
+RADIUS = ["radius", "--q", "1/2", "--kmax", "50", "--dim", "500"]
+LOWER_INDEX = ["lower-index", "--q", "1/2", "--kmax", "500", "--dim", "520"]
+COHERENT = ["coherent", "--c", "0.7", "--q", "1/2", "--dim", "300"]
+NORM_SHIFT = ["norm", "B^3", "--q", "1/2", "--dim", "300"]
+APPLY_DEEP = ["apply", "A+2*B^3", "--n", "250", "--q", "1/2"]
 
 
 def spectrum(op, *argv):
@@ -104,6 +114,16 @@ def ratfun_hashes(capsys):
         (cli(*APPLY, "--json"), "7a942c9912f737431b08a55e6cb959ad979042b987dfaa4bf4dd406a42d70e57"),
         (cli(*NORM_PEAK), "a38a199bffaf382dfadc9b37a4aeb9df1b29127c6114f3acae977812fb0e9be4"),
         (cli(*NORM_BAND), "ba30bb175ee731158f6217ce13cf88e9b4304ccf89564c2179b87045ec70965d"),
+        (cli(*RADIUS), "9dfe28a67111fa841413b8d1d27f2815cfe38998ec174b687d7b2a23ef2454f8"),
+        (cli(*RADIUS, "--json"), "d27a3289e6d23f9018fa079d10454e8cfe2e9d36bc6c4eff0d93292f26ba72cf"),
+        (cli(*LOWER_INDEX), "cd3b690e2ffe4c72680879a95efe450163ffcc732ae0174e017d244d79bc3193"),
+        (cli(*LOWER_INDEX, "--json"), "e897d2ab77d901aea0e0012aa8a06fa497c9e6f0a7a3ab0636c6beff98b038c6"),
+        (cli(*COHERENT), "2026fde90b1b156eb0b96060288e85dd73906acd1c8ca4a7e3e00e7fab8931d2"),
+        (cli(*COHERENT, "--json"), "800783b61e4c6e88080777073a6b215c194dee8ba2f6917b357a7e65916b7711"),
+        (cli(*NORM_SHIFT), "9fc1ba1cc3bdb6207745e078c558b3ae4fb2d12bbe64d0f5b0929f971d39abc8"),
+        (cli(*NORM_SHIFT, "--json"), "844b234b3b60818cf1c0fcc4c1055efdd094f58dfa3a56531e3a253882fa1797"),
+        (cli(*APPLY_DEEP), "511d9fe43849281fdf2ef7f0bc176e605dd3806e0cd17261fb1847240da2c2ba"),
+        (cli(*APPLY_DEEP, "--json"), "69458cf1101e2331c833009949c20a49a68513b815f177c5790f282b9f44f5cd"),
         (spectrum("A", "--q", "1/3"), "c9b448c21a4405db38268ba06cf19df407b63ab91bd48a67acb9d3a7950375be"),
         (spectrum("B", "--q", "1/3"), "9d7400ee1810720c588a46ec44e77db336e58eec41e2ded4e5df7ac9cc4bd41b"),
         (spectrum("C", "--k", "3", "--q", "1/3"), "34c3ec0e6500ea1caf099c7d905c338864fc092daee2c4d92ccdd63f64ea7267"),
@@ -125,6 +145,16 @@ def ratfun_hashes(capsys):
         "apply-json",
         "norm-peak",
         "norm-band",
+        "radius-text",
+        "radius-json",
+        "lower-index-text",
+        "lower-index-json",
+        "coherent-text",
+        "coherent-json",
+        "norm-shift-text",
+        "norm-shift-json",
+        "apply-deep-text",
+        "apply-deep-json",
         "spectrum-A",
         "spectrum-B",
         "spectrum-C",
