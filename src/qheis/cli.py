@@ -79,8 +79,9 @@ def _parse_complex(text: str) -> complex:
 
 # -- per-command handlers -------------------------------------------------------
 #
-# Each returns (payload, text_lines).  Payload values may be RatFun, Element,
-# FreeElement or expr.IndexList; main encodes them, in JSON mode only, by
+# Each returns (payload, text_lines), where text_lines is any iterable of
+# str that main reads in text mode only.  Payload values may be RatFun,
+# Element, FreeElement or range; main encodes them, in JSON mode only, by
 # expr.json_text.
 
 
@@ -153,15 +154,11 @@ def _cmd_apply(args):
         if items > expr.MAX_JSON_COEFFS:
             raise ValueError(f"{items} scalars and radicand indices are over MAX_JSON_COEFFS = {expr.MAX_JSON_COEFFS}")
         entries = [
-            {
-                "target": target,
-                "scalars": [
-                    {"coeff": s.coeff, "radicand": expr.IndexList(s.radicand)} for s in ki.scalars(target)
-                ],
-            }
+            {"target": target, "scalars": [s._asdict() for s in ki.scalars(target)]}
             for target in ki.targets()
         ]
-        return {"entries": entries, "zero": ki.is_zero()}, [str(ki)]
+        # the text is rendered as it is printed, so never under --json
+        return {"entries": entries, "zero": ki.is_zero()}, map(str, [ki])
     from . import spectral
 
     q0 = _parse_q(args.q)

@@ -35,7 +35,7 @@ from .rewrite import FreeElement, word_str
 #: (A+B)^12, 4096 words, is the largest power of A+B it admits.
 MAX_FREE_PAIRS = 4096
 
-#: Most ``num``/``den`` entries and ``IndexList`` ints one JSON document may
+#: Most ``num``/``den`` entries and ``range`` ints one JSON document may
 #: hold, and most scalars and radicand indices the text of an exact ``apply``
 #: may list
 #: (2-vCPU Xeon): "A^100*B^100" (348,652) prints 14 MB in 1.2 s; "A^150*B^150"
@@ -402,22 +402,12 @@ def element_json(x: Element) -> dict:
     }
 
 
-class IndexList:
-    """Ints that ``json_text`` writes as one list and charges to its budget,
-    one entry each; a plain list or tuple is written without passing it."""
-
-    __slots__ = ("items",)
-
-    def __init__(self, items):
-        self.items = items
-
-
 def json_default(value):
     """The ``default`` hook of ``json_text``: the JSON form of a ``RatFun``,
-    an ``Element``, a ``FreeElement`` or an ``IndexList``."""
+    an ``Element``, a ``FreeElement`` or a ``range``, written as its list."""
     # called by their module names, which perfbench/tracing.py rebinds
-    if isinstance(value, IndexList):
-        return list(value.items)
+    if isinstance(value, range):
+        return list(value)
     if isinstance(value, RatFun):
         return ratfun_json(value)
     if isinstance(value, Element):
@@ -443,8 +433,8 @@ def json_text(doc) -> str:
 
     def default(value):
         nonlocal budget
-        if isinstance(value, IndexList):
-            budget -= len(value.items)
+        if isinstance(value, range):
+            budget -= len(value)
         else:
             coeffs = value.terms.values() if isinstance(value, LinComb) else (value,)
             budget -= sum(json_entries(c) for c in coeffs if isinstance(c, RatFun))

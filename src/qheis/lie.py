@@ -10,9 +10,10 @@ The generators act on basis vectors by
     C . v_n = q^n v_n
 
 so a canonical monomial B^b C^k A^a sends v_n either to zero (n < a) or to
-q^(k(n-a)) sqrt(prod of q-integers) v_(n-a+b).  Radicands are kept as
-multisets of q-integer indices; scalars with equal radicands merge exactly,
-which is what makes the residual checks below exact rather than numeric.
+q^(k(n-a)) sqrt({m+1}_q ... {m+a+b}_q) v_(m+b), m = n-a: since b*a = 0,
+the radicand is one run of consecutive q-integer indices, kept as a
+``range``.  Scalars with equal runs merge exactly, which is what makes the
+residual checks below exact rather than numeric.
 """
 
 from __future__ import annotations
@@ -263,8 +264,8 @@ def verify_identity_suite(kmax: int, lmax: int):
 
 class SqrtScalar(namedtuple("SqrtScalar", "coeff radicand")):
     """A scalar of the form coeff * sqrt(prod of q-integers {m}_q over the
-    radicand indices).  Radicands are sorted index multisets, so scalars
-    that must cancel share a radicand and merge exactly."""
+    radicand indices).  A radicand is a run, a ``range`` of consecutive
+    indices, so scalars that must cancel share a radicand and merge exactly."""
 
     __slots__ = ()
 
@@ -277,7 +278,7 @@ class SqrtScalar(namedtuple("SqrtScalar", "coeff radicand")):
 
 class KetImage(LinComb):
     """Exact image of a basis vector under an element: a combination of
-    square-root scalars keyed by (target index, radicand).  The zero
+    square-root scalars keyed by (target index, radicand run).  The zero
     combination is the zero vector."""
 
     __slots__ = ()
@@ -286,7 +287,11 @@ class KetImage(LinComb):
         return sorted({target for target, _rad in self.terms})
 
     def scalars(self, target: int):
-        return [SqrtScalar(c, rad) for (t, rad), c in sorted(self.terms.items()) if t == target]
+        # runs in the order of their index lists, read off the first index and
+        # the length: ranges cannot be compared with <
+        terms = [(rad, c) for (t, rad), c in self.terms.items() if t == target]
+        terms.sort(key=lambda term: (tuple(term[0][:1]), len(term[0])))
+        return [SqrtScalar(c, rad) for rad, c in terms]
 
     def numeric(self, q0) -> dict:
         """Float value per target index at a rational q0: exact rational
@@ -322,9 +327,7 @@ def apply_symbolic(x: Element, n: int) -> KetImage:
         if n < bw.a:
             continue
         m = n - bw.a
-        # b*a = 0, so the radicand is the one run {m+1}_q ... {m+a+b}_q
-        rad = tuple(range(m + 1, m + 1 + bw.a + bw.b))
-        pairs.append(((m + bw.b, rad), c * RatFun.q_power(bw.k * m)))
+        pairs.append(((m + bw.b, range(m + 1, m + 1 + bw.a + bw.b)), c * RatFun.q_power(bw.k * m)))
     return KetImage.collect(pairs)
 
 

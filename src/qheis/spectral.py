@@ -153,7 +153,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, islice, repeat, takewhile, tee
-from operator import itemgetter, mul
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .algebra import Element
@@ -214,19 +214,16 @@ class NumericQ(namedtuple("NumericQ", "value")):
 
 
 def _qintegers(q0: Fraction, lo: int):
-    """Exact q-integers {lo}_q, {lo+1}_q, ... for lo >= 1, as unreduced
-    integer pairs (N_m, v^(m-1)) with {m}_q = N_m / v^(m-1) and q0 = u/v.
-    N_m = (v^m - u^m)/(v - u) obeys N_(m+1) = v N_m + u^m, so no entry needs
-    a power or a gcd of its own."""
+    """Numerators N_lo, N_(lo+1), ... of the exact q-integers, for lo >= 1:
+    {m}_q = N_m / v^(m-1) with q0 = u/v.  N_m = (v^m - u^m)/(v - u) obeys
+    N_(m+1) = v N_m + u^m, so no entry needs a power or a gcd of its own."""
     u, v = q0.numerator, q0.denominator
     u_power = u**lo
     num = (v**lo - u_power) // (v - u)
-    den = v ** (lo - 1)
     while True:
-        yield num, den
+        yield num
         num = v * num + u_power
         u_power *= u
-        den *= v
 
 
 class WeightSequence(namedtuple("WeightSequence", "q0 values")):
@@ -244,10 +241,12 @@ def _rounded_qintegers(q0: Fraction, lo: int, count: int) -> tuple:
     u, v = q0.numerator, q0.denominator
     limit = v / (v - u)
     head = []
-    for n, d in islice(_qintegers(q0, lo), count):
+    d = v ** (lo - 1)
+    for n in islice(_qintegers(q0, lo), count):
         if (r := n / d) == limit:
             break
         head.append(r)
+        d *= v
     return head, limit
 
 
@@ -302,7 +301,7 @@ def _bands(x: Element, q0: Fraction, start: int, stop: int, rows: float = math.i
     # as far as the columns read them, and shared by the bands through copies
     # of one tee, whose buffer holds every numerator from its start
     lo = min((m0 for _, _, _, m0, *_ in bands), default=0) + 1
-    rad_nums = tee(map(itemgetter(0), _qintegers(q0, lo)), 1)[0]
+    rad_nums = tee(_qintegers(q0, lo), 1)[0]
     for b, a, top, m0, m1, firsts, steps in bands:
         count, i, h = m1 - m0, m0 + 1 - lo, a + b
         # the radicand numerator of column m: the h q-integer numerators from m + 1

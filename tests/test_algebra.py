@@ -303,6 +303,23 @@ def test_element_container_behavior():
     assert Element({BasisWord(0, 0, 0): RatFun.zero()}).is_zero()
 
 
+def test_element_operators():
+    x = A + B.scale(RF_Q)
+    for c in (2, Fraction(1, 3), RF_Q):
+        assert x * c == c * x == x.scale(c)
+    # a zero scalar folds the product to the zero element
+    assert (0 * A).is_zero() and str(0 * A) == "0"
+    for m in range(5):
+        assert x**m == element_power(x, m)
+
+
+def test_argument_checks():
+    with pytest.raises(ValueError):
+        element_power(A, -1)
+    with pytest.raises(TypeError):
+        normalize("A")
+
+
 # -- the term order of products and brackets -----------------------------------
 #
 # multiply and bracket sum their terms into one map directly; the order of

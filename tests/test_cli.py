@@ -7,13 +7,14 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import jsonschema
 import pytest
 
 import qheis
-from qheis import expr
+from qheis import expr, lie
 from qheis.cli import main
 from qheis.ratfun import RatFun
 from qheis.schemas import OUTPUT_SCHEMA
@@ -124,8 +125,16 @@ def test_domain_errors_exit_1(capsys):
         (["coherent", "--c", "nan", "--q", "1/2", "--dim", "10"], "error: eigenvalue must be finite, got (nan+0j)\n"),
         (["coherent", "--c", "inf", "--q", "1/2", "--dim", "10"], "error: eigenvalue must be finite, got (inf+0j)\n"),
         (["coherent", "--c", "1e400", "--q", "1/2", "--dim", "10"], "error: eigenvalue must be finite, got (inf+0j)\n"),
+        (
+            ["norm", "A", "--q", "abc", "--dim", "10"],
+            "error: q must be a rational literal like 1/2: Invalid literal for Fraction: 'abc'\n",
+        ),
+        (["coherent", "--c", "1,2,3", "--q", "1/2", "--dim", "20"], "error: complex value must be RE or RE,IM\n"),
     ],
-    ids=["pole", "stuck-word", "max-dim", "spectrum-k-B", "spectrum-k-A", "coherent-nan", "coherent-inf", "coherent-1e400"],
+    ids=[
+        "pole", "stuck-word", "max-dim", "spectrum-k-B", "spectrum-k-A", "coherent-nan", "coherent-inf",
+        "coherent-1e400", "q-not-rational", "coherent-three-parts",
+    ],
 )
 def test_domain_error_classes_exit_1(argv, err, capsys):
     assert main(argv) == 1
@@ -596,6 +605,43 @@ def test_text_radicands_count_against_the_budget(capsys, monkeypatch):
     monkeypatch.setattr(expr, "MAX_JSON_COEFFS", 3)
     assert main(argv) == 1
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_long_run_is_refused_without_listing_it(capsys, json_flag):
+    # the radicand of B^1000000 on v_0 is one run of 10^6 indices, refused
+    # from its length: a tuple of them took a 40 MB peak before the refusal
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        assert main(["apply", "B^1000000", "--n", "0", *json_flag]) == 1
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err.startswith("error: ") and "MAX_JSON_COEFFS" in err.err
+    assert elapsed < 2.0
+    assert peak < 5_000_000
+
+
+def test_exact_apply_under_json_renders_no_text(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("JSON mode must not render the text")
+
+    monkeypatch.setattr(lie.KetImage, "__str__", refuse)
+    assert main(["apply", "B^2 + C", "--n", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["zero"] is False
+
+
+def test_coherent_outside_the_disk_warns(capsys):
+    assert main(["coherent", "--c", "1.5", "--q", "1/2", "--dim", "20"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("residual: ")
+    assert out[1] == (
+        "warning: |c| is not inside the open spectral disk; the residual is not expected to vanish"
+    )
 
 
 def test_json_within_its_budget_is_printed(capsys, monkeypatch):

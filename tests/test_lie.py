@@ -106,6 +106,7 @@ def test_calkin_examples():
     assert calkin_image(A) == LaurentPoly.monomial(-1, INV)
     assert calkin_image(multiply(A, B)) == LaurentPoly.monomial(0, INV)
     assert calkin_image(multiply(A, B)) == calkin_image(A) * calkin_image(B)
+    assert str(calkin_image(I + B)) == "(1)*1 + (1)*D"
 
 
 def test_calkin_homomorphism_random():
@@ -261,7 +262,7 @@ def test_apply_symbolic_diagonal():
             ki = apply_symbolic(ck, n)
             assert ki.targets() == [n]
             (s,) = ki.scalars(n)
-            assert s.radicand == ()
+            assert s.radicand == range(1, 1)
             assert s.coeff == RatFun.q_power(k * n)
 
 
@@ -270,7 +271,7 @@ def test_apply_symbolic_shift_cases():
     ki = apply_symbolic(element_power(B, 2), 1)
     assert ki.targets() == [3]
     (s,) = ki.scalars(3)
-    assert s.coeff == ONE and s.radicand == (2, 3)
+    assert s.coeff == ONE and s.radicand == range(2, 4)
 
 
 def test_apply_symbolic_merges_equal_radicands():
@@ -280,7 +281,7 @@ def test_apply_symbolic_merges_equal_radicands():
     ki = apply_symbolic(x, 3)
     assert ki.targets() == [5]
     (s,) = ki.scalars(5)
-    assert s.radicand == (4, 5)
+    assert s.radicand == range(4, 6)
     assert s.coeff == RatFun.q_power(3) - ONE
     # at the vacuum the merged coefficient is q^0 - 1 = 0: exact cancellation
     assert apply_symbolic(x, 0).is_zero()
@@ -296,6 +297,24 @@ def test_ketimage_zero_requires_radicand_grouping():
     assert apply_symbolic(a_sq - y, 5).is_zero()
     # but the pieces individually do not
     assert not apply_symbolic(a_sq, 5).is_zero()
+
+
+def test_ketimage_order_across_basis_vectors():
+    # one target with runs of several lengths and first indices lists them
+    # as their index lists compare: the empty run first, then by first index
+    ki = apply_symbolic(I, 5) + apply_symbolic(B**2, 3) + apply_symbolic(A, 6) + apply_symbolic(B, 4)
+    assert str(ki) == "((1) + (1)*sqrt({4}*{5}) + (1)*sqrt({5}) + (1)*sqrt({6}))*v_5"
+    assert [s.radicand for s in ki.scalars(5)] == [range(6, 6), range(4, 6), range(5, 6), range(6, 7)]
+    # of two runs from one index the shorter comes first, in either sum order
+    for ki in (apply_symbolic(A, 4) + apply_symbolic(A**2, 5), apply_symbolic(A**2, 5) + apply_symbolic(A, 4)):
+        assert str(ki) == "((1)*sqrt({4}) + (1)*sqrt({4}*{5}))*v_3"
+
+
+def test_ketimage_numeric_drops_what_vanishes_at_q0():
+    ki = apply_symbolic(B.scale(1 - 2 * RF_Q), 0)
+    assert not ki.is_zero()
+    assert ki.numeric(HALF) == {}
+    assert str(apply_symbolic(A, 0)) == "0"
 
 
 def test_surrogate_examples():
@@ -320,6 +339,13 @@ def test_surrogate_residuals_zero():
 
 
 def test_surrogate_preconditions():
+    with pytest.raises(ValueError):
+        apply_symbolic(A, -1)
+    with pytest.raises(ValueError):
+        gamma(-1)
+    for k, l in ((-1, 1), (0, 0)):
+        with pytest.raises(ValueError):
+            build_ck_al_via_ad(k, l)
     with pytest.raises(ValueError):
         lie_surrogate(ONE, "B", 1, 0, 1)
     with pytest.raises(ValueError):

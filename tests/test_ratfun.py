@@ -28,6 +28,11 @@ def test_cancellation_and_inverse():
     assert (ONE / RF_ONE_MINUS_Q) * RF_ONE_MINUS_Q == ONE
 
 
+def test_int_minus_ratfun():
+    assert 1 - RF_Q == RF_ONE_MINUS_Q
+    assert (3 - RF_Q).evaluate(HALF) == Fraction(5, 2)
+
+
 def test_division_matches_long_division_oracle():
     # (1 - q^2) / (1 - q) = 1 + q, checked independently by multiplying back
     num = QPolynomial((1, 0, -1))
@@ -63,6 +68,16 @@ def test_qbracket_values():
     for n in range(8):
         closed = (ONE - RatFun.q_power(n)) / RF_ONE_MINUS_Q
         assert qbracket(n) == closed
+
+
+def test_qbracket_limit_at_one_and_negative_indices():
+    # the q = 1 limit is the integer itself
+    for n in range(6):
+        assert qbracket_value(n, 1) == n
+    with pytest.raises(ValueError):
+        qbracket(-1)
+    with pytest.raises(ValueError):
+        qbracket_value(-1, HALF)
 
 
 def test_qbracket_addition_law():

@@ -54,6 +54,8 @@ def test_weights():
     assert abs(w.values[49] - SQRT2) < 1e-12
     assert all(w.values[i] < w.values[i + 1] for i in range(49))
     assert all(v < SQRT2 for v in w.values)
+    with pytest.raises(ValueError):
+        weights(HALF, 0)
 
 
 def test_apply_numeric_examples():
@@ -191,13 +193,12 @@ def test_diagonal_columns_through_subnormal_squares():
     assert apply_numeric(C, 520, HALF) == {520: 2.0**-520}
 
 
-def test_qinteger_pairs_are_the_exact_qintegers():
+def test_qinteger_numerators_are_the_exact_qintegers():
     for q in ORACLE_QS + (NEAR_ONE,):
         for lo in (1, 2, 7, 300):
-            pairs = _qintegers(q, lo)
+            nums = _qintegers(q, lo)
             for m in range(lo, lo + 60):
-                n, d = next(pairs)
-                assert Fraction(n, d) == qbracket_value(m, q), (q, m)
+                assert Fraction(next(nums), q.denominator ** (m - 1)) == qbracket_value(m, q), (q, m)
 
 
 #: bands with no C, filled up to the column that rounds to their limit
@@ -372,6 +373,8 @@ def test_matrix_examples():
     assert matrix(multiply(A, B) - RF_Q * multiply(B, A), HALF, 10).data == pytest.approx(
         np.eye(10), abs=1e-14
     )
+    with pytest.raises(ValueError):
+        matrix(B, HALF, 0)
 
 
 def test_matrix_diagonal_powers():
@@ -797,6 +800,8 @@ def test_lower_index_estimates():
 
 
 def test_coherent_vectors():
+    with pytest.raises(ValueError):
+        coherent_vector(0.5, HALF, 1)
     assert coherent_vector(0, HALF, 200).residual == 0.0
     assert coherent_vector(0.7, HALF, 200).residual < 1e-8
     assert coherent_vector(1.0, HALF, 300).residual < 1e-8
