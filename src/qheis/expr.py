@@ -36,11 +36,14 @@ from .rewrite import FreeElement, word_str
 MAX_FREE_PAIRS = 4096
 
 #: Most ``num``/``den`` entries and ``range`` ints one JSON document may
-#: hold, and most scalars and radicand indices the text of an exact ``apply``
-#: may list
-#: (2-vCPU Xeon): "A^100*B^100" (348,652) prints 14 MB in 1.2 s; "A^150*B^150"
-#: (1,159,227), 57 MB in 3.6 s, is refused, and so is ``apply "B^1000000" --n 0``,
-#: text or JSON, whose one radicand has 10^6 indices.
+#: hold, most coefficient entries the text of one element may write out
+#: (``text_entries``), and most scalars and radicand indices the text of an
+#: exact ``apply`` may list
+#: (2-vCPU Xeon): "A^100*B^100" (348,652) prints 14 MB in 0.8 s; "A^150*B^150"
+#: (1,159,227), 57 MB, is refused, and so is ``apply "B^1000000" --n 0``,
+#: text or JSON, whose one radicand has 10^6 indices.  The text of
+#: "A^150*B^150" (585,427) prints 21.5 MB in 1.1 s; that of "A^181*B^181"
+#: (1,021,566), 44 MB, is refused.
 MAX_JSON_COEFFS = 1_000_000
 
 
@@ -374,7 +377,12 @@ def word_text(bw: BasisWord) -> str:
 
 
 def element_text(x: Element) -> str:
-    """Terms in graded order, each as (coefficient)*word; re-parseable."""
+    """Terms in graded order, each as (coefficient)*word; re-parseable.
+    ``ValueError`` before rendering a text that writes more than
+    ``MAX_JSON_COEFFS`` coefficient entries (``text_entries``)."""
+    entries = sum(map(text_entries, x.terms.values()))
+    if entries > MAX_JSON_COEFFS:
+        raise ValueError(f"text output of {entries} coefficient entries is over MAX_JSON_COEFFS = {MAX_JSON_COEFFS}")
     return str(x)
 
 
@@ -422,6 +430,12 @@ def json_entries(c: RatFun) -> int:
     """Entries of ``ratfun_json(c)`` read off the parts, with no densifying:
     len(N) + max(v, 0) + max(w, 0) + len(D) + max(-v, 0) + max(-w, 0)."""
     return len(c._n) + len(c._d) + abs(c._v) + abs(c._w)
+
+
+def text_entries(c: RatFun) -> int:
+    """Entries that ``str(c)`` writes out: those of ``ratfun_json(c)`` but
+    the |v| zeros, which the text writes as exponents."""
+    return json_entries(c) - abs(c._v)
 
 
 def json_text(doc) -> str:

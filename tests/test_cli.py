@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, stream separation, and JSON schema
 conformance for every command."""
 
+import hashlib
 import json
 import math
 import os
@@ -558,7 +559,8 @@ def test_json_past_its_budget_is_refused_quickly(capsys, argv):
     assert err.out == ""
     assert err.err.startswith("error: ") and "MAX_JSON_COEFFS" in err.err
     assert elapsed < 2.0
-    # the text output of the same command is not budgeted
+    # the text of the same command writes its power of q as one exponent,
+    # which the text budget does not charge
     assert main(argv[:-1]) == 0
     assert capsys.readouterr().out.count("q^") == 1
 
@@ -642,6 +644,51 @@ def test_coherent_outside_the_disk_warns(capsys):
     assert out[1] == (
         "warning: |c| is not inside the open spectral disk; the residual is not expected to vanish"
     )
+
+
+def test_text_past_its_budget_is_refused_quickly(capsys):
+    # the text of A^181 B^181 writes 1,021,566 entries, 44 MB, and was printed
+    start = time.perf_counter()
+    assert main(["normalize", "A^181*B^181"]) == 1
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err.startswith("error: ") and "MAX_JSON_COEFFS" in err.err
+    assert elapsed < 2.0
+
+
+def test_text_within_its_budget_prints_what_it_printed(capsys):
+    # the 176,952 entries of A^100 B^100: 4,776,313 bytes, whose digest was
+    # taken before the text had a budget
+    assert main(["normalize", "A^100*B^100"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 4_776_313
+    assert hashlib.sha256(out).hexdigest() == "e56f43048bbac09e2aa218c7962b523457e67f7ac785e8c92fc9e5314dca3af7"
+
+
+@pytest.mark.parametrize(
+    "argv, elements",
+    [
+        (["normalize", "(A+B)^4"], ["(A+B)^4"]),
+        (["bracket", "A^3", "B^3"], ["[A^3, B^3]"]),
+        (["decompose", "A + 2*I + C^2*A^3 + B*C/(1-q)^3"], ["C^2*A^3 + B*C/(1-q)^3", "2*I"]),
+    ],
+    ids=["normalize", "bracket", "decompose"],
+)
+def test_text_budget_is_inclusive(capsys, monkeypatch, argv, elements):
+    # each element's text is charged on its own, so the largest one sets
+    # the edge
+    assert main(argv) == 0
+    full = capsys.readouterr().out
+    entries = max(sum(map(expr.text_entries, expr.evaluate(e).terms.values())) for e in elements)
+    monkeypatch.setattr(expr, "MAX_JSON_COEFFS", entries)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == full
+    monkeypatch.setattr(expr, "MAX_JSON_COEFFS", entries - 1)
+    assert main(argv) == 1
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert "MAX_JSON_COEFFS" in err.err
 
 
 def test_json_within_its_budget_is_printed(capsys, monkeypatch):
