@@ -14,6 +14,7 @@ import argparse
 import math
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import algebra, expr, rewrite
 from .ratfun import RatFun
@@ -28,34 +29,25 @@ def _finite(value: float) -> float:
     return float(value)
 
 
-def _element_result(x):
-    """(payload, text lines) of an element, rendered as text once."""
-    text = expr.element_text(x)
-    return {"element": x, "text": text}, [text]
+def _text_result(payload, x):
+    """(payload, render) with the text of x as the payload's "text" field
+    and as the one line, each rendered only by the mode that prints it."""
+    payload["text"] = text = partial(expr.element_text, x)
+    return payload, lambda: [text()]
 
 
 def _reports_result(reports):
-    """(payload, text lines) of identity reports; a report's text label is
-    its identity name followed by its parameters, if it has any."""
-    payload = {
-        "reports": [
-            {
-                "identity": r.identity,
-                "params": dict(r.params),
-                "verdict": r.verdict,
-                "difference": r.difference,
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-            }
-            for r in reports
-        ]
-    }
-    lines = []
-    for r in reports:
-        label = f"{r.identity} {r.params}" if r.params else r.identity
-        verdict = "ok" if r.verdict else f"DIFFERS: {expr.element_text(r.difference)}"
-        lines.append(f"{label}: {verdict}")
-    return payload, lines
+    """(payload, render) of identity reports; a report's text label is its
+    identity name followed by its parameters, if it has any."""
+    fields = ("identity", "params", "verdict", "difference", "lhs", "rhs")
+    payload = {"reports": [{f: getattr(r, f) for f in fields} for r in reports]}
+
+    def render():
+        for r in reports:
+            label = f"{r.identity} {r.params}" if r.params else r.identity
+            yield f"{label}: " + ("ok" if r.verdict else f"DIFFERS: {expr.element_text(r.difference)}")
+
+    return payload, render
 
 
 def _parse_q(text: str):
@@ -79,10 +71,10 @@ def _parse_complex(text: str) -> complex:
 
 # -- per-command handlers -------------------------------------------------------
 #
-# Each returns (payload, text_lines), where text_lines is any iterable of
-# str that main reads in text mode only.  Payload values may be RatFun,
-# Element, FreeElement or range; main encodes them, in JSON mode only, by
-# expr.json_text.
+# Each returns (payload, render), where render() gives the text lines, any
+# iterable of str, which main renders in text mode only.  Payload values may
+# be RatFun, Element, FreeElement, range, or a callable that renders a text
+# field; main encodes them, in JSON mode only, by expr.json_text.
 
 
 def _cmd_normalize(args):
@@ -95,17 +87,17 @@ def _cmd_normalize(args):
         x = expr.evaluate(args.expr)
     else:
         x = algebra.normalize(expr.eval_ast_free(expr.parse(args.expr)), rules)
-    return _element_result(x)
+    return _text_result({"element": x}, x)
 
 
 def _cmd_bracket(args):
     x = algebra.bracket(expr.evaluate(args.left), expr.evaluate(args.right))
-    return _element_result(x)
+    return _text_result({"element": x}, x)
 
 
 def _cmd_adjoint(args):
     x = algebra.adjoint(expr.evaluate(args.expr))
-    return _element_result(x)
+    return _text_result({"element": x}, x)
 
 
 def _cmd_decompose(args):
@@ -118,13 +110,12 @@ def _cmd_decompose(args):
         "derived": d.derived,
         "e_part": d.e_part,
     }
-    lines = [
-        f"coefficient of A: {d.coeff_a}",
-        f"coefficient of B: {d.coeff_b}",
+    return payload, lambda: [
+        f"coefficient of A: {expr.element_text(d.coeff_a)}",
+        f"coefficient of B: {expr.element_text(d.coeff_b)}",
         f"derived part:     {expr.element_text(d.derived)}",
         f"remainder part:   {expr.element_text(d.e_part)}",
     ]
-    return payload, lines
 
 
 def _cmd_predicate(args):
@@ -132,15 +123,14 @@ def _cmd_predicate(args):
 
     test = {"is-lie": lie.is_lie_polynomial, "is-compact": lie.is_compact}[args.command]
     value = test(expr.evaluate(args.expr))
-    return {"value": value}, ["true" if value else "false"]
+    return {"value": value}, lambda: ["true" if value else "false"]
 
 
 def _cmd_calkin(args):
     from . import lie
 
     lp = lie.calkin_image(expr.evaluate(args.expr))
-    payload = {"terms": [{"power": e, "coeff": c} for e, c in lp.sorted_terms()], "text": str(lp)}
-    return payload, [str(lp)]
+    return _text_result({"terms": [{"power": e, "coeff": c} for e, c in lp.sorted_terms()]}, lp)
 
 
 def _cmd_apply(args):
@@ -149,16 +139,11 @@ def _cmd_apply(args):
         from . import lie
 
         ki = lie.apply_symbolic(x, args.n)
-        # the text lists every scalar and every index of its radicand
-        items = sum(1 + len(rad) for _target, rad in ki.terms)
-        if items > expr.MAX_JSON_COEFFS:
-            raise ValueError(f"{items} scalars and radicand indices are over MAX_JSON_COEFFS = {expr.MAX_JSON_COEFFS}")
         entries = [
             {"target": target, "scalars": [s._asdict() for s in ki.scalars(target)]}
             for target in ki.targets()
         ]
-        # the text is rendered as it is printed, so never under --json
-        return {"entries": entries, "zero": ki.is_zero()}, map(str, [ki])
+        return {"entries": entries, "zero": ki.is_zero()}, lambda: [expr.ket_text(ki)]
     from . import spectral
 
     q0 = _parse_q(args.q)
@@ -169,8 +154,7 @@ def _cmd_apply(args):
         ],
         "q": str(q0.value),
     }
-    lines = [f"{idx}: {v!r}" for idx, v in sorted(vec.items())] or ["0"]
-    return payload, lines
+    return payload, lambda: [f"{idx}: {v!r}" for idx, v in sorted(vec.items())] or ["0"]
 
 
 def _cmd_verify_identities(args):
@@ -203,18 +187,18 @@ def _cmd_verify_confluence(args):
         ],
         "unresolvable": [r.word_text for r in summary.unresolvable],
     }
-    lines = [
-        f"{summary.rules_name} rules, ambiguity words up to length {summary.max_len}: "
-        f"{len(summary.reports)} ambiguities, "
-        f"{len(summary.unresolvable)} unresolvable"
-    ]
-    for r in summary.reports:
-        status = "resolvable" if r.resolvable else "UNRESOLVABLE"
-        lines.append(f"  {r.word_text} ({r.kind}): {status}")
-        if not r.resolvable:
-            for o in r.outcomes:
-                lines.append(f"    -> {o}")
-    return payload, lines
+
+    def render():
+        yield (
+            f"{summary.rules_name} rules, ambiguity words up to length {summary.max_len}: "
+            f"{len(summary.reports)} ambiguities, {len(summary.unresolvable)} unresolvable"
+        )
+        for r in summary.reports:
+            yield f"  {r.word_text} ({r.kind}): " + ("resolvable" if r.resolvable else "UNRESOLVABLE")
+            if not r.resolvable:
+                yield from (f"    -> {expr.element_text(o)}" for o in r.outcomes)
+
+    return payload, render
 
 
 def _cmd_spectrum(args):
@@ -238,17 +222,17 @@ def _cmd_spectrum(args):
         payload["radius"] = _finite(facts.radius_numeric)
     if facts.eigenvalues is not None:
         payload["eigenvalues"] = [_finite(v) for v in facts.eigenvalues]
-    name = facts.operator if facts.operator != "C" else f"C^{facts.k}"
-    lines = [
-        f"operator:                {name}",
-        f"squared radius:          {facts.radius_sq}",
-        f"point spectrum:          {facts.point_spectrum}",
-        f"approx point spectrum:   {facts.approx_point_spectrum}",
-        f"compression spectrum:    {facts.compression_spectrum}",
-    ]
-    if facts.eigenvalue_formula:
-        lines.append(f"eigenvalues:             {facts.eigenvalue_formula}")
-    return payload, lines
+
+    def render():
+        yield f"operator:                {facts.operator if facts.operator != 'C' else f'C^{facts.k}'}"
+        yield f"squared radius:          {facts.radius_sq}"
+        yield f"point spectrum:          {facts.point_spectrum}"
+        yield f"approx point spectrum:   {facts.approx_point_spectrum}"
+        yield f"compression spectrum:    {facts.compression_spectrum}"
+        if facts.eigenvalue_formula:
+            yield f"eigenvalues:             {facts.eigenvalue_formula}"
+
+    return payload, render
 
 
 def _cmd_norm(args):
@@ -257,7 +241,7 @@ def _cmd_norm(args):
     q0 = _parse_q(args.q)
     value = spectral.op_norm(expr.evaluate(args.expr), q0, args.dim)
     payload = {"value": _finite(value), "q": str(q0.value), "dim": args.dim}
-    return payload, [repr(value)]
+    return payload, lambda: [repr(value)]
 
 
 def _cmd_estimate(args):
@@ -276,7 +260,7 @@ def _cmd_estimate(args):
         "kmax": args.kmax,
         "dim": args.dim,
     }
-    return payload, [repr(est[-1])]
+    return payload, lambda: [repr(est[-1])]
 
 
 def _cmd_coherent(args):
@@ -295,13 +279,8 @@ def _cmd_coherent(args):
             for n, z in sorted(witness.entries.items())
         ],
     }
-    lines = [f"residual: {witness.residual!r}"]
-    if witness.outside_disk:
-        lines.append(
-            "warning: |c| is not inside the open spectral disk; "
-            "the residual is not expected to vanish"
-        )
-    return payload, lines
+    warning = "warning: |c| is not inside the open spectral disk; the residual is not expected to vanish"
+    return payload, lambda: [f"residual: {witness.residual!r}"] + ([warning] if witness.outside_disk else [])
 
 
 def _cmd_surrogate(args):
@@ -310,12 +289,9 @@ def _cmd_surrogate(args):
     coeff = expr.parse_ratfun(args.coeff) if args.coeff else RatFun.one()
     y = lie.lie_surrogate(coeff, args.side, args.l, args.n, args.k)
     residual = lie.surrogate_residual(coeff, args.side, args.l, args.n, args.k)
-    payload, lines = _element_result(y)
+    payload, render = _text_result({"element": y}, y)
     payload["residual_zero"] = residual.is_zero()
-    lines.append(
-        f"residual on basis vector {args.n}: " + ("0" if residual.is_zero() else str(residual))
-    )
-    return payload, lines
+    return payload, lambda: [*render(), f"residual on basis vector {args.n}: {expr.ket_text(residual)}"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -416,11 +392,14 @@ def main(argv=None) -> int:
     command = args.command
     if command == "verify":
         command = f"verify {args.verify_command}"
+    # the output is rendered whole, in the one mode it is printed in, before
+    # any of it is printed, so an error while rendering prints nothing
     try:
-        payload, lines = args.handler(args)
+        payload, render = args.handler(args)
         if args.json:
-            # encoded first, so a document over its budget prints nothing
-            text = expr.json_text({"command": command, "format_version": 1, "result": payload})
+            out = expr.json_text({"command": command, "format_version": 1, "result": payload})
+        else:
+            out = "\n".join(render())
     except expr.ParseError as e:
         print(f"syntax error: {e}", file=sys.stderr)
         return 2
@@ -430,11 +409,7 @@ def main(argv=None) -> int:
     except (ArithmeticError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    if args.json:
-        sys.stdout.write(text + "\n")
-    else:
-        for line in lines:
-            print(line)
+    sys.stdout.write(out + "\n")
     return 0
 
 

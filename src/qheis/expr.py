@@ -36,14 +36,14 @@ from .rewrite import FreeElement, word_str
 MAX_FREE_PAIRS = 4096
 
 #: Most ``num``/``den`` entries and ``range`` ints one JSON document may
-#: hold, most coefficient entries the text of one element may write out
-#: (``text_entries``), and most scalars and radicand indices the text of an
-#: exact ``apply`` may list
-#: (2-vCPU Xeon): "A^100*B^100" (348,652) prints 14 MB in 0.8 s; "A^150*B^150"
-#: (1,159,227), 57 MB, is refused, and so is ``apply "B^1000000" --n 0``,
-#: text or JSON, whose one radicand has 10^6 indices.  The text of
-#: "A^150*B^150" (585,427) prints 21.5 MB in 1.1 s; that of "A^181*B^181"
-#: (1,021,566), 44 MB, is refused.
+#: hold (``json_entries``), most coefficient entries one printed element,
+#: word sum, Laurent image or coefficient may write out (``text_entries``),
+#: and most scalars and radicand indices the text of an exact ``apply`` may
+#: list (2-vCPU Xeon): "A^100*B^100" (348,652) prints 14 MB in 0.8 s;
+#: "A^150*B^150" (1,159,227), 57 MB, is refused, and so is ``apply
+#: "B^1000000" --n 0``, text or JSON, whose one radicand has 10^6 indices.
+#: The text of "A^150*B^150" (585,427) prints 21.5 MB in 1.1 s; that of
+#: "A^181*B^181" (1,021,566), 44 MB, is refused.
 MAX_JSON_COEFFS = 1_000_000
 
 
@@ -376,14 +376,27 @@ def word_text(bw: BasisWord) -> str:
     return str(bw)
 
 
-def element_text(x: Element) -> str:
-    """Terms in graded order, each as (coefficient)*word; re-parseable.
-    ``ValueError`` before rendering a text that writes more than
-    ``MAX_JSON_COEFFS`` coefficient entries (``text_entries``)."""
-    entries = sum(map(text_entries, x.terms.values()))
+def _charge(entries: int, output: str, unit: str) -> None:
     if entries > MAX_JSON_COEFFS:
-        raise ValueError(f"text output of {entries} coefficient entries is over MAX_JSON_COEFFS = {MAX_JSON_COEFFS}")
+        raise ValueError(f"{output} of {entries} {unit} is over MAX_JSON_COEFFS = {MAX_JSON_COEFFS}")
+
+
+def element_text(x) -> str:
+    """``str(x)`` of an element, a free word sum, a Laurent image or a single
+    coefficient: terms in graded order, each as (coefficient)*word, and
+    re-parseable.  ``ValueError`` before rendering a text that writes more
+    than ``MAX_JSON_COEFFS`` coefficient entries (``text_entries``)."""
+    coeffs = x.terms.values() if isinstance(x, LinComb) else (x,)
+    _charge(sum(map(text_entries, coeffs)), "text output", "coefficient entries")
     return str(x)
+
+
+def ket_text(ki) -> str:
+    """``str(ki)`` of an exact ket image, which lists every scalar and every
+    index of its radicand; ``ValueError`` before rendering more than
+    ``MAX_JSON_COEFFS`` of them."""
+    _charge(sum(1 + len(rad) for _target, rad in ki.terms), "text output", "scalars and radicand indices")
+    return str(ki)
 
 
 def _fraction_json(c):
@@ -412,8 +425,11 @@ def element_json(x: Element) -> dict:
 
 def json_default(value):
     """The ``default`` hook of ``json_text``: the JSON form of a ``RatFun``,
-    an ``Element``, a ``FreeElement`` or a ``range``, written as its list."""
+    an ``Element``, a ``FreeElement`` or a ``range``, written as its list,
+    and of a callable, a text field, the string it renders."""
     # called by their module names, which perfbench/tracing.py rebinds
+    if callable(value):
+        return value()
     if isinstance(value, range):
         return list(value)
     if isinstance(value, RatFun):
@@ -426,10 +442,22 @@ def json_default(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def json_entries(c: RatFun) -> int:
-    """Entries of ``ratfun_json(c)`` read off the parts, with no densifying:
-    len(N) + max(v, 0) + max(w, 0) + len(D) + max(-v, 0) + max(-w, 0)."""
-    return len(c._n) + len(c._d) + abs(c._v) + abs(c._w)
+def json_entries(value) -> int:
+    """Entries of the JSON of value read off the parts, with no densifying:
+    of a ``RatFun``, len(N) + max(v, 0) + max(w, 0) + len(D) + max(-v, 0) +
+    max(-w, 0); of a ``range``, its length; of a dict, a list, a tuple or a
+    ``LinComb``, the sum over the values it holds."""
+    if isinstance(value, RatFun):
+        return len(value._n) + len(value._d) + abs(value._v) + abs(value._w)
+    if isinstance(value, range):
+        return len(value)
+    if isinstance(value, LinComb):
+        value = value.terms
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return 0
+    return sum(map(json_entries, value))
 
 
 def text_entries(c: RatFun) -> int:
@@ -440,23 +468,12 @@ def text_entries(c: RatFun) -> int:
 
 def json_text(doc) -> str:
     """doc as indented JSON text by ``json_default``; ``ValueError`` before
-    encoding a value that takes it past ``MAX_JSON_COEFFS`` entries."""
+    encoding or rendering any of it if it holds more than
+    ``MAX_JSON_COEFFS`` entries (``json_entries``)."""
     import json
 
-    budget = MAX_JSON_COEFFS
-
-    def default(value):
-        nonlocal budget
-        if isinstance(value, range):
-            budget -= len(value)
-        else:
-            coeffs = value.terms.values() if isinstance(value, LinComb) else (value,)
-            budget -= sum(json_entries(c) for c in coeffs if isinstance(c, RatFun))
-        if budget < 0:
-            raise ValueError(f"JSON output over MAX_JSON_COEFFS = {MAX_JSON_COEFFS} coefficient entries")
-        return json_default(value)
-
-    return json.dumps(doc, indent=2, default=default)
+    _charge(json_entries(doc), "JSON output", "coefficient entries")
+    return json.dumps(doc, indent=2, default=json_default)
 
 
 def element_from_json(doc) -> Element:

@@ -331,16 +331,9 @@ def list_ambiguities(rules: RuleSet, max_len: int):
 
     reports = []
     for w in sorted(found, key=lambda u: (len(u), u)):
-        for kind in sorted(found[w]):
-            outcomes = tuple(reachable_normal_forms(FreeElement.of_word(w), rules))
-            reports.append(
-                AmbiguityReport(
-                    word=w,
-                    kind=kind,
-                    resolvable=len(outcomes) == 1,
-                    outcomes=outcomes,
-                )
-            )
+        # a word that is both an overlap and an inclusion is resolved once
+        outcomes = tuple(reachable_normal_forms(FreeElement.of_word(w), rules))
+        reports.extend(AmbiguityReport(w, kind, len(outcomes) == 1, outcomes) for kind in sorted(found[w]))
     return reports
 
 

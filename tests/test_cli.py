@@ -15,9 +15,9 @@ import jsonschema
 import pytest
 
 import qheis
-from qheis import expr, lie
+from qheis import expr, lie, rewrite
 from qheis.cli import main
-from qheis.ratfun import RatFun
+from qheis.ratfun import LinComb, RatFun
 from qheis.schemas import OUTPUT_SCHEMA
 from qheis.spectral import MAX_DIM, apply_numeric
 
@@ -703,3 +703,129 @@ def test_json_within_its_budget_is_printed(capsys, monkeypatch):
     monkeypatch.setattr(expr, "MAX_JSON_COEFFS", entries - 1)
     assert main(argv) == 1
     assert capsys.readouterr().out == ""
+
+
+def _charged_entries(x) -> int:
+    """Coefficient entries the text of x, an element, a word sum, a Laurent
+    image or a coefficient, writes out."""
+    return sum(map(expr.text_entries, x.terms.values() if isinstance(x, LinComb) else (x,)))
+
+
+def _confluence_outcomes():
+    summary = rewrite.check_confluence(rewrite.RuleSet.printed(), 3)
+    return [o for r in summary.unresolvable for o in r.outcomes]
+
+
+@pytest.mark.parametrize(
+    "argv, texts",
+    [
+        (["calkin", "A^3 + B^2/(1-q) - 3*I + C"], lambda: [lie.calkin_image(expr.evaluate("A^3 + B^2/(1-q) - 3*I + C"))]),
+        (["verify", "confluence", "--rules", "printed", "--maxlen", "3"], _confluence_outcomes),
+        # the coefficient of A writes more entries than any part
+        (["decompose", "(1-q)^4/(2+q)*A + 3*B + C"], lambda: [expr.parse_ratfun("(1-q)^4/(2+q)"), expr.evaluate("C")]),
+    ],
+    ids=["calkin", "confluence", "decompose"],
+)
+def test_every_printed_text_is_charged(capsys, monkeypatch, argv, texts):
+    assert main(argv) == 0
+    full = capsys.readouterr().out
+    entries = max(map(_charged_entries, texts()))
+    monkeypatch.setattr(expr, "MAX_JSON_COEFFS", entries)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == full
+    monkeypatch.setattr(expr, "MAX_JSON_COEFFS", entries - 1)
+    assert main(argv) == 1
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err.startswith("error: ") and "MAX_JSON_COEFFS" in err.err
+
+
+def test_json_over_its_budget_renders_no_text(capsys, monkeypatch):
+    def refuse(x):
+        raise AssertionError("a document over its budget must not render its text")
+
+    # the text of A^150 B^150 passes its own budget, 21.5 MB that the JSON
+    # budget refused only after they were rendered
+    monkeypatch.setattr(expr, "element_text", refuse)
+    start = time.perf_counter()
+    assert main(["normalize", "A^150*B^150", "--json"]) == 1
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err.startswith("error: ") and "MAX_JSON_COEFFS" in err.err
+    assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: " ".join(argv))
+def test_json_mode_builds_no_text_line(argv, capsys, monkeypatch):
+    from qheis import cli
+
+    def refuse():
+        raise AssertionError("JSON mode must not build a text line")
+
+    def without_text(handler):
+        return lambda args: (handler(args)[0], refuse)
+
+    for name in [name for name in vars(cli) if name.startswith("_cmd_")]:
+        monkeypatch.setattr(cli, name, without_text(getattr(cli, name)))
+    rendered = []
+    element_text = expr.element_text
+    monkeypatch.setattr(expr, "element_text", lambda x: rendered.append(x) or element_text(x))
+    monkeypatch.setattr(lie.KetImage, "__str__", lambda self: refuse())
+    assert main(argv + ["--json"]) == 0
+    # the one text that JSON mode renders is the document's "text" field
+    assert len(rendered) == ("text" in json.loads(capsys.readouterr().out)["result"])
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_an_integer_past_the_digit_limit_is_a_domain_error(capsys, json_flag):
+    # the entries of (1 - q)^3000 have up to 902 digits; the text and the
+    # JSON of apply write them out only in main's last step
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = main(["apply", "(1-q)^3000*B", "--n", "0", *json_flag])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    err = capsys.readouterr()
+    assert code == 1
+    assert err.out == ""
+    assert err.err.startswith("error: ") and "integer string conversion" in err.err
+
+
+#: the command lines of COMMANDS whose text writes a coefficient: not the
+#: numeric ones, nor the normal form 0, nor reports whose every line is ok
+WRITE_COEFFICIENTS = [
+    argv
+    for argv in COMMANDS
+    if argv[0] in ("normalize", "bracket", "adjoint", "decompose", "calkin", "apply", "verify", "surrogate")
+    and "--q" not in argv
+    and argv[:4]
+    not in (["normalize", "A*B - q*B*A - I"], ["verify", "fredholm"], ["verify", "confluence", "--rules", "completed"])
+]
+
+
+@pytest.mark.parametrize("argv", WRITE_COEFFICIENTS, ids=lambda argv: " ".join(argv))
+def test_an_error_while_rendering_prints_nothing(argv, capsys, monkeypatch):
+    def fail(self):
+        raise ValueError("unrenderable coefficient")
+
+    monkeypatch.setattr(RatFun, "__str__", fail)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: unrenderable coefficient\n")
+    # a JSON document renders coefficients only in its text field
+    code = main(argv + ["--json"])
+    out = capsys.readouterr()
+    if argv[0] in ("decompose", "apply", "verify"):
+        assert code == 0 and out.err == ""
+    else:
+        assert out == ("", "error: unrenderable coefficient\n") and code == 1
+
+
+def test_a_runtime_error_while_rendering_propagates(monkeypatch):
+    def recurse(self):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(RatFun, "__str__", recurse)
+    with pytest.raises(RecursionError):
+        main(["normalize", "A"])

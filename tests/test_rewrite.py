@@ -3,10 +3,12 @@
 import pytest
 from conftest import basis_words_up_to
 
+from qheis import rewrite
 from qheis.algebra import Element, I, multiply_cascade, reduce_word
 from qheis.ratfun import RF_ONE_MINUS_Q, RatFun
 from qheis.rewrite import (
     FreeElement,
+    RewriteRule,
     RuleSet,
     check_confluence,
     list_ambiguities,
@@ -60,6 +62,26 @@ def test_completed_confluent_up_to_six():
         assert f"B{c}AC" in words
         assert f"CB{c}A" in words
         assert f"AB{c}A" in words
+
+
+def test_inclusion_ambiguities_resolve_each_word_once(monkeypatch):
+    # the shipped rule sets have no inclusion; ACB contains the pattern AC
+    # of a base rule and is also the overlap of AC and CB
+    rules = RuleSet("with-ACB", PRINTED.rules + (RewriteRule("ACB", word("ACB"), FreeElement.of_word(("C",))),))
+    searched = []
+    search = rewrite.reachable_normal_forms
+    monkeypatch.setattr(rewrite, "reachable_normal_forms", lambda start, r: searched.append(start) or search(start, r))
+    reports = list_ambiguities(rules, 3)
+    assert [(r.word_text, r.kind) for r in reports] == [
+        ("ABA", "overlap"), ("ACB", "inclusion"), ("ACB", "overlap"), ("BAB", "overlap"), ("BAC", "overlap"),
+        ("CBA", "overlap"),
+    ]
+    assert len(searched) == len({r.word for r in reports}) == 5
+    inclusion, overlap = reports[1:3]
+    assert inclusion.outcomes is overlap.outcomes
+    assert not inclusion.resolvable
+    # ACB -> C at once, or AC -> qCA first: q CAB -> q C (I - qC)/(1 - q)
+    assert set(inclusion.outcomes) == {FreeElement.of_word(("C",)), FreeElement({("C",): Q * INV, ("C", "C"): -Q * Q * INV})}
 
 
 def test_completed_short_horizon_vacuous():
