@@ -764,10 +764,7 @@ def signed_root(cn: int, cd: int, rn: int, rd: int) -> float:
     true division rounds correctly for operands of any size, so the
     unreduced quotient gives the double that ``float`` of the reduced
     ``Fraction`` gives.  Where c^2 r is past the float range or below its
-    normal range, the quotient is taken with 4^s times the denominator (or
-    4^-s times the numerator) and the root scaled back by 2^s, all exact, so
-    small entries keep every bit; ``OverflowError`` means |c| sqrt(r) is no
-    finite float.
+    normal range, ``scaled_root`` takes it instead.
     """
     num, den = cn * cn * rn, cd * cd * rd
     try:
@@ -777,13 +774,24 @@ def signed_root(cn: int, cd: int, rn: int, rd: int) -> float:
             return mag if cn > 0 else -mag
     except OverflowError:
         pass
+    mag = scaled_root(num, den)
+    return mag if cn > 0 else -mag
+
+
+def scaled_root(num: int, den: int) -> float:
+    """The float sqrt(num/den) for positive integers, at any magnitude: the
+    quotient is taken with 4^s times the denominator (or 4^-s times the
+    numerator), so that it lies near 1, and the root is scaled back by 2^s,
+    all exact, so small roots keep every bit; ``OverflowError`` means the
+    root is no finite float.  Where num/den is a normal double, this is its
+    square root, the same double that ``sqrt(num / den)`` gives: scaling by
+    a power of four commutes with both roundings there."""
     s = (num.bit_length() - den.bit_length()) // 2
     root = sqrt(num / (den << 2 * s) if s >= 0 else (num << -2 * s) / den)
     exp = frexp(root)[1] + s
     if exp > 1024:
         raise OverflowError(f"value >= 2^{exp - 1} is past the float range")
-    mag = ldexp(root, s)
-    return mag if cn > 0 else -mag
+    return ldexp(root, s)
 
 
 class LinComb:

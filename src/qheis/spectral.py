@@ -24,6 +24,16 @@ from one table, computed as far as the columns read it.  Terms with equal (b, a)
 target and radicand and merge exactly, as in ``lie.apply_symbolic``; each
 merged scalar c * sqrt(r) is then rounded once, as the square root of one
 int/int true division for c^2 r, with the sign of c (``ratfun.signed_root``).
+A band of one term c, which is every band of a sum of distinct monomials,
+keeps c^2 r = num/den itself as running integers: num is the square of the
+running numerator, stepped by the square of its step, times the radicand
+numerator, and den is the square of the running denominator times the
+radicand denominator, stepped by the product of their steps.  Its columns
+are rounded in one pass at C level, ``map(truediv, ...)`` and then
+``map(math.sqrt, ...)``, negated once where c < 0.  Where every square is a
+normal double these are the doubles that ``signed_root`` gives; a band with
+a square below 2^-1022 or past the float range is rounded column by column
+instead, each square scaled by a power of four (``ratfun.scaled_root``).
 Int true division rounds correctly for any operand size, so the unreduced quotient gives the double
 that ``float`` of the reduced fraction gives: the values are the same exact
 rationals that ``apply_symbolic(x, n).numeric(q0)`` rounds, wherever every
@@ -40,9 +50,12 @@ from column to column; its numerator, the product of the h q-integer
 numerators of the window, is multiplied out afresh for each column.  That
 product has at most h (m + h) bit_length(v) bits in column m, and the
 running numerators and denominator of a band whose largest C-power is K
-have about K m bit_length(v) bits each, which the rounding squares.  A fill
-whose last column would pass ``MAX_RADICAND_BITS`` in all is refused before
-any power or q-integer is computed.
+have about K m bit_length(v) bits each, which enter the rounding squared:
+a one-term band steps the squares, any other band squares them in each
+column.  The operands of the division have the same bits either way, and a
+fill whose last column would pass ``MAX_RADICAND_BITS`` in all is refused
+before any power or q-integer is computed.  The running integers are
+streamed, one column at a time; only the rounded entries are kept.
 
 Past about 53 / log2(1/q) columns the compact part of the weights is below
 one rounding (the Calkin image of B is (1-q)^(-1/2) times the unilateral
@@ -55,11 +68,12 @@ the limit, with one square root or log of it, for the rest of the window
 (m = 54 at q = 1/2, 131 at q = 3/4, 3700 at q = 99/100, past ``MAX_DIM``).
 A band with no C is one term c B^b A^a, whose squared entries c^2 {m+1}_q
 ... {m+h}_q, h = a + b, rise strictly toward c^2 / (1-q)^h = c^2 v^h /
-(v-u)^h.  ``signed_root`` is monotone in c^2 r: it rounds it once, takes
-the square root, and scales by a power of two that is exact or, below the
-normal range, rounds once more, each step monotone whatever power of four
-the unreduced operands pick; so is the purge.  So the fill of such a band
-stops at the first column whose entry equals the limit entry, which
+(v-u)^h.  The rounding is monotone in c^2 r: it rounds it once, takes
+the square root, and, on the scaled route, scales by a power of two that is
+exact or, below the normal range, rounds once more, each step monotone
+whatever power of four the unreduced operands pick; so is the purge.  So
+the fill of such a band stops at the first column whose entry equals the
+limit entry, which
 ``signed_root`` rounds from (cn, cd, v^h, (v-u)^h) and which takes the
 guard of the entries (0.0 where c vanishes at q0 or the limit is purged,
 never the -0.0 that ``signed_root`` gives of a zero c), and repeats it for
@@ -153,11 +167,11 @@ from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, islice, repeat, takewhile, tee
-from operator import mul
+from operator import mul, neg, truediv
 from typing import TYPE_CHECKING
 
 from .algebra import Element
-from .ratfun import RF_ONE, RF_ONE_MINUS_Q, RatFun, signed_root
+from .ratfun import RF_ONE, RF_ONE_MINUS_Q, RatFun, scaled_root, signed_root
 
 if TYPE_CHECKING:
     import numpy as np
@@ -277,8 +291,10 @@ def _bands(x: Element, q0: Fraction, start: int, stop: int, rows: float = math.i
     # numerator of term i steps by u^k_i v^(K - k_i) and the denominator by
     # v^K; the radicand {m+1}_q ... {m+h}_q of column m, h = a + b, has the
     # denominator v^(h m + h(h-1)/2), which steps by v^h
-    # (b, a, K, first and end m, and the running integers at m = 0 and their
-    # steps: the term numerators, the denominator and the radicand denominator)
+    # (b, a, the coefficient of a one-term band, K, first and end m, and the
+    # running integers at m = 0 and their steps: of a one-term band the
+    # numerator and denominator of c^2 r but for the radicand numerator, else
+    # the term numerators, the denominator and the radicand denominator)
     bands = []
     for (b, a), parts in groups.items():
         # column m + a holds the entry of v_(m+b), computed for m + b < rows
@@ -293,48 +309,88 @@ def _bands(x: Element, q0: Fraction, start: int, stop: int, rows: float = math.i
         bits = (h * (m1 - 1 + h) + 2 * top * (m1 - 1)) * v.bit_length()
         if bits > MAX_RADICAND_BITS:
             raise ValueError(f"a column of up to {bits} bits exceeds MAX_RADICAND_BITS = {MAX_RADICAND_BITS}")
-        common = math.lcm(*(c.denominator for _, c in parts))
-        firsts = [c.numerator * (common // c.denominator) for _, c in parts] + [common, v ** (h * (h - 1) // 2)]
-        steps = [u**k * v ** (top - k) for k, _ in parts] + [v**top, v**h]
-        bands.append((b, a, top, m0, m1, firsts, steps))
+        if len(parts) == 1:
+            # one term c: c^2 r = num/den, with num = (cn u^(km))^2 R_m, a
+            # running square times the radicand numerator R_m, and
+            # den = (cd v^(km))^2 v^(hm + h(h-1)/2)
+            ((_, c),) = parts
+            firsts = [c.numerator**2, c.denominator**2 * v ** (h * (h - 1) // 2)]
+            steps = [u ** (2 * top), v ** (2 * top + h)]
+        else:
+            common = math.lcm(*(c.denominator for _, c in parts))
+            firsts = [c.numerator * (common // c.denominator) for _, c in parts] + [common, v ** (h * (h - 1) // 2)]
+            steps = [u**k * v ** (top - k) for k, _ in parts] + [v**top, v**h]
+            c = None
+        bands.append((b, a, c, top, m0, m1, firsts, steps))
     # the exact q-integer numerators from the first column on, computed once,
     # as far as the columns read them, and shared by the bands through copies
     # of one tee, whose buffer holds every numerator from its start
-    lo = min((m0 for _, _, _, m0, *_ in bands), default=0) + 1
+    lo = min((m0 for *_, m0, _, _, _ in bands), default=0) + 1
     rad_nums = tee(_qintegers(q0, lo), 1)[0]
-    for b, a, top, m0, m1, firsts, steps in bands:
-        count, i, h = m1 - m0, m0 + 1 - lo, a + b
-        # the radicand numerator of column m: the h q-integer numerators from m + 1
-        windows = (islice(rad_nums.__copy__(), i + j, i + j + count) for j in range(h))
-        rads = map(math.prod, zip(*windows)) if h else repeat(1)
-        # the running integers of the columns m0 ... m1 - 1, one stream each
-        *nums, dens, rad_dens = (
-            accumulate(repeat(s, count - 1), mul, initial=f * s**m0) for f, s in zip(firsts, steps)
-        )
-        if top or count == 1:
-            cns = nums[0] if len(nums) == 1 else map(sum, zip(*nums))
+    for b, a, c, top, m0, m1, firsts, steps in bands:
+        count = m1 - m0
+        # the radicand numerator of each column and the running integers
+        streams = (rad_nums, m0 + 1 - lo, a + b, m0, count, firsts, steps)
+        if c is None:
+            # several terms, whose numerators merge before the one rounding
+            rads, *nums, dens, rad_dens = _column_streams(*streams)
             yield b, a, m0, [
                 value if cn and abs(value := signed_root(cn, cd, rn, rd)) >= PURGE_EPS else 0.0
-                for cn, cd, rn, rd in zip(cns, dens, rads, rad_dens)
+                for cn, cd, rn, rd in zip(map(sum, zip(*nums)), dens, rads, rad_dens)
             ]
             continue
-        # one term c B^b A^a over several columns, whose entries rise in
-        # magnitude toward the limit entry c (1-q)^(-h/2): from the first
-        # column that rounds to it every later one does too (see the module
-        # notes)
-        cn, cd = firsts[0], firsts[1]
-        try:
-            limit = signed_root(cn, cd, v**h, (v - u) ** h) if cn else 0.0
-        except OverflowError:
-            # no finite entry equals it, and a column past the float range raises
-            limit = math.inf
-        if abs(limit) < PURGE_EPS:
+        limit = None
+        if c and not top and count > 1:
+            # one term c B^b A^a over several columns, whose entries rise in
+            # magnitude toward the limit entry c (1-q)^(-h/2): from the first
+            # column that rounds to it every later one does too (see the
+            # module notes)
+            try:
+                limit = signed_root(c.numerator, c.denominator, v ** (a + b), (v - u) ** (a + b))
+            except OverflowError:
+                # no finite entry equals it, and a column past the float range raises
+                limit = math.inf
+        if not c or limit is not None and abs(limit) < PURGE_EPS:
             yield b, a, m0, [0.0] * count
             continue
-        head = list(takewhile(limit.__ne__, map(signed_root, repeat(cn), repeat(cd), rads, rad_dens)))
-        if head and abs(head[0]) < PURGE_EPS:
-            head = [value if abs(value) >= PURGE_EPS else 0.0 for value in head]
-        yield b, a, m0, head + [limit] * (count - len(head))
+        # each square rounded once and its root taken, in one pass at C
+        # level: where every square is a normal double, these are the entries
+        # that ``signed_root`` rounds.  The squares rise, or rise and then
+        # fall, and so do the rounded ones, so the least entry lies at an
+        # end; it is above 2^-511 only where its square is at least 2^-1022
+        rads, nums, dens = _column_streams(*streams)
+        roots = map(math.sqrt, map(truediv, map(mul, nums, rads), dens))
+        try:
+            entries = _saturate(roots if c > 0 else map(neg, roots), limit, count)
+        except OverflowError:
+            entries = None
+        if entries is None or min(abs(entries[0]), abs(entries[-1])) <= 2.0**-511:
+            # some square is past the float range or below its normal range
+            sign = 1.0 if c > 0 else -1.0
+            rads, nums, dens = _column_streams(*streams)
+            roots = (sign * scaled_root(n * r, d) for n, r, d in zip(nums, rads, dens))
+            entries = _saturate((root if abs(root) >= PURGE_EPS else 0.0 for root in roots), limit, count)
+        yield b, a, m0, entries
+
+
+def _column_streams(rad_nums, i: int, h: int, m0: int, count: int, firsts: list, steps: list) -> list:
+    """The radicand numerators of the columns m0 ... m0 + count - 1 of a
+    band, h = a + b, each the product of the h q-integer numerators from
+    m + 1 (items i + m - m0 on of the ``rad_nums`` tee), and then one stream
+    of running integers first * step^m for each first and step."""
+    windows = (islice(rad_nums.__copy__(), i + j, i + j + count) for j in range(h))
+    rads = map(math.prod, zip(*windows)) if h else repeat(1)
+    return [rads, *(accumulate(repeat(s, count - 1), mul, initial=f * s**m0) for f, s in zip(firsts, steps))]
+
+
+def _saturate(entries, limit, count: int) -> list:
+    """The ``count`` entries of a one-term band from a stream of them: all
+    of them where ``limit`` is None, else those before the first that equals
+    ``limit``, and then ``limit`` for the remaining columns."""
+    if limit is None:
+        return list(entries)
+    head = list(takewhile(limit.__ne__, entries))
+    return head + [limit] * (count - len(head))
 
 
 def apply_numeric(x: Element, n: int, q0) -> dict:
@@ -647,6 +703,9 @@ def compact_decay_report(x: Element, q0, N: int) -> DecayReport:
     for b, a, m0, entries in _bands(x, q0.value, 0, N):
         for col, value in zip(squares[m0 + a :], entries):
             col.append(value * value)
+    # one sum per column, not an elementwise add of the bands: from Python
+    # 3.12 on, sum of floats is compensated, so adding band by band would
+    # change the tails of several bands there
     tail = [math.sqrt(sum(col)) for col in squares]
     peak = max(tail)
     if peak == 0.0 or tail[-1] < 0.5 * peak:

@@ -385,7 +385,7 @@ elements = st.dictionaries(
 ).map(Element)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(elements, elements)
 def test_pair_sum_term_order_is_that_of_collect(x, y):
     _assert_collect_order(x, y)

@@ -216,6 +216,25 @@ def test_gamma_sum_equals_the_literal_sum_of_gammas():
         assert list(got.terms.items()) == list(want.terms.items()), k
 
 
+def test_gamma_closed_form_that_holds():
+    # CB = qBC, AC = qCA and (1-q)AB = I - qC give
+    # gamma(k) = q^-(k+1) (q-1)^(k+1) ({k+2}_q C^(k+2) - {k+1}_q C^(k+1)),
+    # where the claimed form has {k+1}_q, {k}_q and q^-k, q^(1-k)
+    for k in range(25):
+        scale = (RF_Q - ONE) ** (k + 1) / RatFun.q_power(k + 1)
+        want = element_power(C, k + 2).scale(qbracket(k + 2)) - element_power(C, k + 1).scale(qbracket(k + 1))
+        assert gamma(k) == want.scale(scale), k
+
+
+def test_gamma_sum_telescopes_to_a_power_of_c():
+    # q^(i+1) (q-1)^-(i+1) gamma(i) = {i+2}_q C^(i+2) - {i+1}_q C^(i+1), so
+    # C^(k+2) = (C + sum_(i<=k) q^(i+1) (q-1)^-(i+1) gamma(i)) / {k+2}_q
+    total = C
+    for k in range(11):
+        total = total + gamma(k).scale(RatFun.q_power(k + 1) / (RF_Q - ONE) ** (k + 1))
+        assert total.scale(qbracket(k + 2).inverse()) == element_power(C, k + 2), k
+
+
 def test_builds_produce_monomials():
     assert build_ck_al_via_ad(0, 1) == multiply(C, A)
     assert build_ck_al_via_ad(1, 1) == Element.monomial(0, 2, 1)

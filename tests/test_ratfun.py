@@ -16,6 +16,7 @@ from qheis.ratfun import (
     over_one_minus_q,
     qbracket,
     qbracket_value,
+    scaled_root,
     signed_root,
 )
 
@@ -102,6 +103,8 @@ def test_signed_root_rounds_like_the_reduced_fraction():
         rn, rd = rng.randrange(1, 10**60) * g, rng.randrange(1, 10**60) * g
         mag = math.sqrt(float(Fraction(cn, cd) ** 2 * Fraction(rn, rd)))
         assert signed_root(cn, cd, rn, rd) == math.copysign(mag, cn)
+        # in the normal range the scaled route gives the same double
+        assert scaled_root(cn * cn * rn, cd * cd * rd) == mag
 
 
 def test_signed_root_past_the_float_range():

@@ -178,19 +178,92 @@ def test_matrix_near_one_equals_symbolic_oracle_bitwise():
             assert (data[:, n] == column).all(), (str(x), n)
 
 
-def test_diagonal_columns_through_subnormal_squares():
-    # c^2 = 2^(-2kn) (times 9 or 1/9) turns subnormal near kn = 511 and
-    # rounds to zero near kn = 538, both far above the purge threshold
+@pytest.mark.parametrize("q", ORACLE_QS, ids=str)
+def test_diagonal_columns_through_subnormal_squares(q):
+    # c^2 q^(2kn) (c = 1, 3 or 1/3) turns subnormal near 2kn log2(1/q) = 1022
+    # and rounds to zero near 1075, both far above the purge threshold; the
+    # one-term bands there leave the one-pass rounding for scaled_root
     third = RatFun.from_fraction(Fraction(1, 3))
+    elements = [(expr.evaluate("C*A^2"), 1), (expr.evaluate("B^2*C"), 1)]
     for k in (1, 2, 3):
-        for x in (element_power(C, k), 3 * element_power(C, k) + third * element_power(C, k + 1)):
-            N = 560 // k
-            data = matrix(x, HALF, N).data
-            for n in range(N):
-                want = _oracle_column(x, n, HALF.value)
-                assert apply_numeric(x, n, HALF) == want, (str(x), n)
-                assert data[n, n] == want.get(n, 0.0), (str(x), n)
+        elements += [(element_power(C, k), k), (3 * element_power(C, k) + third * element_power(C, k + 1), k)]
+    for x, k in elements:
+        N = math.ceil(560 / (k * math.log2(1 / q)))
+        data = matrix(x, q, N).data
+        for n in range(N):
+            want = _oracle_column(x, n, q)
+            assert apply_numeric(x, n, q) == want, (str(x), n)
+            column = np.zeros(N)
+            for i, v in want.items():
+                if i < N:
+                    column[i] = v
+            assert data[:, n].tobytes() == column.tobytes(), (str(x), n)
     assert apply_numeric(C, 520, HALF) == {520: 2.0**-520}
+
+
+def _oracle_or_overflow(x, n, q):
+    """The oracle column, or None where an entry of it is past the float range."""
+    try:
+        return _oracle_column(x, n, q)
+    except OverflowError:
+        return None
+
+
+def _one_term_bands(rng):
+    """Seeded one-term bands c B^b C^k A^a, h = a + b <= 3, with both signs
+    of c and |c| from 2^-1000 to 2^1020, drawn often near 2^-511 and 2^512,
+    where the squares of a band leave the normal range of a double in its
+    middle, and fixed bands that cross 2^-1022 or the float range."""
+    fixed = ["2^600*C", "2^600*C^3", "-2^520*B^2*C^2", "(1/2^500)*C^3*A", "-(1/2^512)*B^3", "2^511*A^2", "-(1/2^600)*C"]
+    # bands that cross in their middle also at q = 99/100
+    fixed += ["(1/2^516)*B^3", "-(1/2^510)*C^3", "2^512*C^3"]
+    bands = [expr.evaluate(text) for text in fixed]
+    for _ in range(40):
+        h, k = rng.randint(0, 3), rng.randint(0, 3)
+        b = rng.choice((0, h))
+        e = rng.choice((rng.randint(-1000, 1020), rng.randint(-560, -460), rng.randint(460, 560)))
+        c = rng.choice((1, -1)) * Fraction(rng.randint(1, 9), rng.randint(1, 9)) * Fraction(2) ** e
+        bands.append(Element({BasisWord(b, k, h - b): RatFun.from_fraction(c)}))
+    return bands
+
+
+@pytest.mark.parametrize("q", ORACLE_QS + (NEAR_ONE,), ids=str)
+def test_one_term_bands_on_both_routes_equal_symbolic_oracle(q, monkeypatch):
+    # a one-term band is rounded in one pass where every square is a normal
+    # double, and by scaled_root where some square is not: the sweep takes
+    # both routes, and both give the oracle's entries bit for bit
+    routes = {"one pass": 0, "scaled_root": 0}
+
+    def counted(route, f):
+        def call(*args):
+            routes[route] += 1
+            return f(*args)
+
+        return call
+
+    monkeypatch.setattr(spectral, "truediv", counted("one pass", spectral.truediv))
+    monkeypatch.setattr(spectral, "scaled_root", counted("scaled_root", spectral.scaled_root))
+    N = 40
+    for x in _one_term_bands(random.Random(31)):
+        ((bw, _),) = x.terms.items()
+        cols = [_oracle_or_overflow(x, n, q) for n in range(N)]
+        if any(cols[n] is None for n in range(bw.a, N - bw.b)):
+            with pytest.raises(OverflowError):
+                matrix(x, q, N)
+        else:
+            want = np.zeros((N, N))
+            for n in range(bw.a, N - bw.b):
+                for i, v in cols[n].items():
+                    want[i, n] = v
+            assert matrix(x, q, N).data.tobytes() == want.tobytes(), str(x)
+        # one-column windows past the first column
+        for n in (1, 9, 23, 300):
+            if (want := _oracle_or_overflow(x, n, q)) is None:
+                with pytest.raises(OverflowError):
+                    apply_numeric(x, n, q)
+            else:
+                assert apply_numeric(x, n, q) == want, (str(x), n)
+    assert all(routes.values()), routes
 
 
 def test_qinteger_numerators_are_the_exact_qintegers():
