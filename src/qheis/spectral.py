@@ -30,10 +30,12 @@ running numerator, stepped by the square of its step, times the radicand
 numerator, and den is the square of the running denominator times the
 radicand denominator, stepped by the product of their steps.  Its columns
 are rounded in one pass at C level, ``map(truediv, ...)`` and then
-``map(math.sqrt, ...)``, negated once where c < 0.  Where every square is a
-normal double these are the doubles that ``signed_root`` gives; a band with
-a square below 2^-1022 or past the float range is rounded column by column
-instead, each square scaled by a power of four (``ratfun.scaled_root``).
+``map(math.sqrt, ...)``, negated once where c < 0.  Where a square is a
+normal double these are the doubles that ``signed_root`` gives; the columns
+whose squares fall below 2^-1022, which lie at the ends of the band, since
+the squares rise or rise and then fall, are rounded again column by column,
+each square scaled by a power of four (``ratfun.scaled_root``), and a band
+with a square past the float range is rounded that way throughout.
 Int true division rounds correctly for any operand size, so the unreduced quotient gives the double
 that ``float`` of the reduced fraction gives: the values are the same exact
 rationals that ``apply_symbolic(x, n).numeric(q0)`` rounds, wherever every
@@ -129,7 +131,35 @@ below MAX_DIM (q^n must pass n = 4400 to fall that far); there a block is
 cut only where it already splits, at an edge of the truncation or at a
 coefficient that vanishes at q0.  At q = 1/2, C + B keeps its C band only
 in columns 0 ... 64, and LAPACK takes one 66 x 65 piece instead of the
-whole truncation.  One band is the limiting case where every component is
+whole truncation.
+
+The cut is decided before the fill where x is a sum of one-term bands of
+which one, c B^b A^a with offset s = b - a, has no C and a nonzero entry
+inside.  Its entries rise toward their limit, so its largest is in its last
+column inside; every other band with entries inside has C, peaks at the
+column that ``_peak`` gives and falls past it: the entry of column m + a is
+at most |c| q^(km) (1-q)^(-h/2), and |c| is at most the entry of column a,
+so two logarithms give an m past which it is below tau.  The head is the
+first H columns, H past a + 1, past each band's peak and that m by one
+column, and by b - a - s more where that band's rows lie below those of the
+live one.  It is filled, rows below H + s only; top is read from it at the
+peaks of the bands with C and from one column of the live band, and it is
+checked exactly: the live band keeps its entry in column H - 1, so in every
+later one, and each other band keeps none in the last column it fills, so
+in none after it.  Then no kept entry of the head lies at or below row
+H + s, the first kept row of the first column past the head of each residue
+class, so each such column starts a piece, and so does every later column,
+which keeps one entry of the live band and nothing else: the cut rule run
+on the head gives the same pieces, of the same rectangles, as on the whole
+truncation, and the rest gives the live band's largest entry.  The head is
+not taken where a band has several terms, where no band or two bands
+without C have entries, near the end of the truncation, or where the check
+fails; then the whole truncation is filled, and the result and the LAPACK
+inputs are those of the whole, bit for bit.  At q = 1/2, C + B fills 67
+columns of each band at any N and reads B in column N - 2 (a fill this
+short meets the ``MAX_RADICAND_BITS`` check for its own columns only).
+
+One band is the limiting case where every component is
 one entry: the singular values are the absolute entries, so the norm is the
 largest of them (the sup-of-weights norm of a weighted shift, Shields
 1974), correctly rounded and read off the band fill without a dense array,
@@ -180,7 +210,8 @@ if TYPE_CHECKING:
 PURGE_EPS = 1e-300
 #: largest dimension of ``matrix``, whose dense array takes 8 N^2 bytes and
 #: whose SVD in ``op_norm`` takes O(N^3) time where no block is cut (A + B +
-#: C, say), and far less where a compact band is, and largest N of ``op_norm``,
+#: C, say), and far less, over a head of columns only, where a compact band
+#: is, and largest N of ``op_norm``,
 #: ``weights``, the estimators and the decay report, whose exact q-integers
 #: take O(N^2) bits
 MAX_DIM = 2000
@@ -358,18 +389,29 @@ def _bands(x: Element, q0: Fraction, start: int, stop: int, rows: float = math.i
         # that ``signed_root`` rounds.  The squares rise, or rise and then
         # fall, and so do the rounded ones, so the least entry lies at an
         # end; it is above 2^-511 only where its square is at least 2^-1022
+        sign = 1.0 if c > 0 else -1.0
         rads, nums, dens = _column_streams(*streams)
         roots = map(math.sqrt, map(truediv, map(mul, nums, rads), dens))
         try:
-            entries = _saturate(roots if c > 0 else map(neg, roots), limit, count)
+            entries = _saturate(roots if sign > 0 else map(neg, roots), limit, count)
         except OverflowError:
             entries = None
-        if entries is None or min(abs(entries[0]), abs(entries[-1])) <= 2.0**-511:
-            # some square is past the float range or below its normal range
-            sign = 1.0 if c > 0 else -1.0
+        if entries is None:
+            # some square is past the float range
             rads, nums, dens = _column_streams(*streams)
             roots = (sign * scaled_root(n * r, d) for n, r, d in zip(nums, rads, dens))
             entries = _saturate((root if abs(root) >= PURGE_EPS else 0.0 for root in roots), limit, count)
+        elif min(abs(entries[0]), abs(entries[-1])) <= 2.0**-511:
+            # the squares below the normal range, at the ends of the band,
+            # are rounded again column by column; an entry that the one pass
+            # saturated there is the limit, which these roots round to too
+            normal = [i for i, e in enumerate(entries) if abs(e) > 2.0**-511]
+            left, right = (normal[0], normal[-1] + 1) if normal else (count, count)
+            for i, j in ((0, left), (right, count)):
+                if i < j:
+                    rads, nums, dens = _column_streams(rad_nums, m0 + 1 - lo + i, a + b, m0 + i, j - i, firsts, steps)
+                    roots = (sign * scaled_root(n * r, d) for n, r, d in zip(nums, rads, dens))
+                    entries[i:j] = [root if abs(root) >= PURGE_EPS else 0.0 for root in roots]
         yield b, a, m0, entries
 
 
@@ -429,14 +471,20 @@ def matrix(x: Element, q0, N: int) -> TruncatedMatrix:
         raise ValueError("matrix dimension must be positive")
     _check_dim(N)
     q0 = NumericQ.coerce(q0)
+    return TruncatedMatrix(dim=N, q0=q0, data=_dense(x, q0.value, N, N))
+
+
+def _dense(x: Element, q0: Fraction, rows: int, cols: int) -> np.ndarray:
+    """The leading rows x cols corner of the truncation of x, with only the
+    columns below ``cols`` and the rows below ``rows`` filled."""
     import numpy as np
 
-    data = np.zeros((N, N))
+    data = np.zeros((rows, cols))
     flat = data.reshape(-1)
-    for b, a, m0, entries in _bands(x, q0.value, 0, N, N):
-        first = (m0 + b) * N + m0 + a
-        flat[first : first + len(entries) * (N + 1) : N + 1] = entries
-    return TruncatedMatrix(dim=N, q0=q0, data=data)
+    for b, a, m0, entries in _bands(x, q0, 0, cols, rows):
+        first = (m0 + b) * cols + m0 + a
+        flat[first : first + len(entries) * (cols + 1) : cols + 1] = entries
+    return data
 
 
 def _peak(q0: Fraction, k: int, h: int, M: int) -> int:
@@ -450,12 +498,81 @@ def _peak(q0: Fraction, k: int, h: int, M: int) -> int:
     return bisect_left(range(M), True, key=lambda m: u ** (m + 1) * left <= v ** (m + 1) * right)
 
 
+def _largest_entry(x: Element, q0: Fraction, N: int) -> float:
+    """The largest absolute entry of the N x N truncation of x, one band,
+    read from its peak column alone when x is one term with entries inside,
+    else scanned column by column."""
+    start, stop = 0, N
+    if len(x.terms) == 1:
+        (bw,) = x.terms
+        h = bw.a + bw.b
+        if h < N:
+            # column m + a holds the entry of v_(m+b), inside for m < N - h
+            start = _peak(q0, bw.k, h, N - h - 1) + bw.a
+            stop = start + 1
+    return max((abs(v) for *_, entries in _bands(x, q0, start, stop, N) for v in entries), default=0.0)
+
+
+def _head(x: Element, q0: Fraction, N: int, g: int):
+    """(data, tau, tail) where past a head of H columns the truncation of x
+    keeps entries of its one band without C only, each a piece of its own:
+    data holds the head columns and the rows below H + s, with s the offset
+    of that band, tau is the cut and tail that band's largest entry; None
+    where there is no such head (see the module notes)."""
+    bands = len({bw.b - bw.a for bw in x.terms})
+    if len(x.terms) > bands:
+        return None
+    # every term that meets a column is evaluated before any band is filled,
+    # as in ``matrix``, so a pole at q0 raises all the same
+    values = {bw: c.evaluate(q0) for bw, c in x.terms.items() if bw.a < N}
+    inside = {bw: c for bw, c in values.items() if c and bw.a + bw.b < N}
+    live = [bw for bw in inside if not bw.k]
+    if len(live) != 1:
+        return None
+    (band,) = live
+    s = band.b - band.a
+    u, v = q0.numerator, q0.denominator
+    log_q, log_limit = math.log(v) - math.log(u), math.log(v) - math.log(v - u)
+    log_c = {bw: math.log(abs(c.numerator)) - math.log(c.denominator) for bw, c in inside.items()}
+    # column a of a band holds |c| sqrt({1}_q ... {h}_q) >= |c|, h = a + b,
+    # so tau is at least this
+    log_tau = math.log(_DROP / bands) + max(log_c.values())
+    H, compact = band.a + 1, []
+    for bw in inside:
+        if bw.k:
+            # |c| q^(km) (1-q)^(-h/2) bounds the entry of column m + a, at
+            # most tau from m on; the band is filled one column past that and
+            # its peak, and lift columns more where its rows lie below those
+            # of the live band
+            h, lift = bw.a + bw.b, max(bw.b - bw.a - s, 0)
+            j = _peak(q0, bw.k, h, N - h - 1) + bw.a
+            m = math.ceil((log_c[bw] + h / 2 * log_limit - log_tau) / (bw.k * log_q))
+            H = max(H, max(j, m + 1 + bw.a) + 1 + lift)
+            compact.append((bw, j, lift))
+    # every residue class has a column past the head whose entry is inside
+    if H + g + max(s, 0) > N:
+        return None
+    data = _dense(x, q0, H + s, H)
+    tail = _largest_entry(Element({band: x.terms[band]}), q0, N)
+    top = max([tail, *(float(abs(data[j + bw.b - bw.a, j])) for bw, j, _ in compact)])
+    tau = _DROP * top / bands
+    # the live band keeps its entry from column H - 1 on and each compact
+    # band none from the last column it fills on, both past their peaks
+    if not abs(data[H - 1 + s, H - 1]) > tau:
+        return None
+    if any(abs(data[H - 1 - lift + bw.b - bw.a, H - 1 - lift]) > tau for bw, _, lift in compact):
+        return None
+    return data, tau, tail
+
+
 def op_norm(x: Element, q0, N: int) -> float:
     """Largest singular value of the N x N truncation of x, exactly, with no
     row >= N computed: the largest absolute entry when x is one band, read
     from its peak column alone when x is one term with entries inside, else
     the largest over the pieces of its residue-class blocks: the absolute
-    entry of a piece that keeps one, the LAPACK SVD of any other (see the
+    entry of a piece that keeps one, the LAPACK SVD of any other.  Where one
+    band without C is all that keeps entries past a head of columns, only the
+    head is filled and the rest gives that band's largest entry (see the
     module notes)."""
     if N < 2:
         raise ValueError("norm estimation needs dimension at least 2")
@@ -464,27 +581,25 @@ def op_norm(x: Element, q0, N: int) -> float:
     offsets = {bw.b - bw.a for bw in x.terms}
     if len(offsets) <= 1:
         # one band: at most one nonzero in each row and column
-        start, stop = 0, N
-        if len(x.terms) == 1:
-            (bw,) = x.terms
-            h = bw.a + bw.b
-            if h < N:
-                # column m + a holds the entry of v_(m+b), inside for m < N - h
-                start = _peak(q0.value, bw.k, h, N - h - 1) + bw.a
-                stop = start + 1
-        return max((abs(v) for *_, entries in _bands(x, q0.value, start, stop, N) for v in entries), default=0.0)
-    data = matrix(x, q0, N).data
+        return _largest_entry(x, q0.value, N)
     import numpy as np
 
+    # column j has nonzeros only in rows j + s with s = s0 (mod g), so the
+    # residue classes r of the columns split the truncation into blocks
+    s0 = min(offsets)
+    g = math.gcd(*(s - s0 for s in offsets))
+    data, tau, norm = _head(x, q0.value, N, g) or (matrix(x, q0, N).data, None, 0.0)
     # band s holds the entry of row j + s in column j, for j in [max(-s, 0), ...)
     diagonals = [(s, max(-s, 0), np.abs(np.diagonal(data, -s))) for s in sorted(offsets)]
-    top = max((float(d.max()) for *_, d in diagonals if d.size), default=0.0)
-    tau = _DROP * top / len(offsets)
-    # the first and last kept row of each column (N and -1 where it keeps
-    # none; the offsets ascend, so the last store is the last row), its
-    # count of kept entries and its largest kept entry
-    first, last = np.full(N, N), np.full(N, -1)
-    count, peak = np.zeros(N, dtype=int), np.zeros(N)
+    if tau is None:
+        top = max((float(d.max()) for *_, d in diagonals if d.size), default=0.0)
+        tau = _DROP * top / len(offsets)
+    # the first and last kept row of each column (past the last row and -1
+    # where it keeps none; the offsets ascend, so the last store is the last
+    # row), its count of kept entries and its largest kept entry
+    height, width = data.shape
+    first, last = np.full(width, height), np.full(width, -1)
+    count, peak = np.zeros(width, dtype=int), np.zeros(width)
     for s, j0, d in diagonals:
         kept = np.flatnonzero(d > tau)
         cols = kept + j0
@@ -492,12 +607,7 @@ def op_norm(x: Element, q0, N: int) -> float:
         last[cols] = cols + s
         count[cols] += 1
         peak[cols] = np.maximum(peak[cols], d[kept])
-    # column j has nonzeros only in rows j + s with s = s0 (mod g), so the
-    # residue classes r of the columns split the truncation into blocks
-    s0 = min(offsets)
-    g = math.gcd(*(s - s0 for s in offsets))
-    norm = 0.0
-    for r in range(min(g, N)):
+    for r in range(min(g, width)):
         r0 = (r + s0) % g
         blk, counts = data[r0::g, r::g], count[r::g]
         if not blk.size or not counts.any():

@@ -5,6 +5,7 @@ import decimal
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 
@@ -362,7 +363,8 @@ def test_pole_at_q0_raises():
         matrix(cancelled, HALF, 3)
     with pytest.raises(PoleError):
         apply_numeric(cancelled, 2, HALF)
-    # op_norm of several bands builds the matrix, of one band reads its entries
+    # op_norm of several bands evaluates every term before it fills a column,
+    # of one band reads its entries
     with pytest.raises(PoleError):
         op_norm(pole, HALF, 6)
     with pytest.raises(PoleError):
@@ -796,6 +798,66 @@ def test_op_norm_against_a_40_digit_reference(q):
             want = max(mpmath.svd_r(mpmath.matrix(matrix(x, q, N).data.tolist()), compute_uv=False))
             got = op_norm(x, q, N)
             assert abs(got - want) <= 4 * np.spacing(float(want)), (text, got, want)
+
+
+#: shapes whose truncations keep, past a head of columns, one band without C
+#: or do not: a C band with C-free bands, compact bands at larger offsets
+#: than the live one, compact pairs, coefficients that vanish at 1/2, 1/3
+#: and 5/7, and bands of several terms
+HEAD_SHAPES = (
+    "({0})*C+({1})*B",
+    "({0})*C*A+({1})*A^3",
+    "({0})*C+({1})*A+B",
+    "C*B^3+({1})*A",
+    "2*C^2*B+({0})*A^2",
+    "({0})*C+C*B",
+    "(1-2*q)*C+({1})*B",
+    "(3*q-1)*C*B+({1})*A",
+    "({0})*(7*q-5)*C+B^2",
+    "C+({0})*C^2+B",
+    "({1})*B-C*B+A",
+)
+
+
+@pytest.mark.parametrize("q", ORACLE_QS + (NEAR_ONE,), ids=str)
+def test_op_norm_with_a_head_equals_the_pieces_bitwise(q):
+    # where one band without C keeps entries past a head of columns, op_norm
+    # fills the head only; on every shape and size it gives the norm of the
+    # pieces of the whole truncation, bit for bit
+    rng = random.Random(32)
+    for shape in HEAD_SHAPES:
+        x = expr.evaluate(shape.format(*(rng.choice(("1", "-3", "5/2", "1/7")) for _ in range(2))))
+        for N in (2, 3, 17, 160, 300, 600):
+            assert op_norm(x, q, N) == _piece_norm(x, q, N), (str(x), N)
+
+
+def test_op_norm_fills_only_the_head(monkeypatch):
+    # at q = 1/2 the C band of C + B is above the cut in columns 0 ... 64
+    # only: op_norm fills the head of 67 columns, reads the largest entry of
+    # B from its last column, and builds no N x N array; its one piece of
+    # more than one entry is that of N = 160
+    want = _piece_norm(C + B, HALF, 160)
+    filled = {}
+    bands = spectral._bands
+
+    def counting(*args):
+        for b, a, m0, entries in bands(*args):
+            filled[b, a] = filled.get((b, a), 0) + len(entries)
+            yield b, a, m0, entries
+
+    def no_matrix(*args):
+        raise AssertionError("op_norm built the whole truncation")
+
+    monkeypatch.setattr(spectral, "_bands", counting)
+    monkeypatch.setattr(spectral, "matrix", no_matrix)
+    tracemalloc.start()
+    try:
+        assert op_norm(C + B, HALF, 2000) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert filled[0, 0] <= 70 and filled[1, 0] <= 71, filled
+    assert peak < 8 * 2000**2 // 32, peak
 
 
 def test_bracket_matrices_agree_with_the_two_products():
