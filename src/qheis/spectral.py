@@ -14,16 +14,17 @@ to q^(k(n-a)) sqrt({n-a+1}_q ... {n-a+max(a,b)}_q) v_(n-a+b), so bands are
 filled directly rather than through the symbolic ket action, one band at a
 time over its own columns.  ``matrix`` stores each band as one strided
 diagonal of the dense array, the decay report sums squares band by band,
-and ``apply_numeric`` and the one-band norms take their entries straight
-from the bands.  All exact work is on plain unreduced Python ints and takes no
-gcd.  With q0 = u/v, each monomial coefficient is evaluated at q0 once per
-call; the terms of a band keep integer numerators over one integer
-denominator, stepped by powers of u and v from column to column; and the
-q-integer radicands {m}_q = N_m / v^(m-1) come as their numerators N_m
-from one table, computed as far as the columns read it.  Terms with equal (b, a) share
-target and radicand and merge exactly, as in ``lie.apply_symbolic``; each
-merged scalar c * sqrt(r) is then rounded once, as the square root of one
-int/int true division for c^2 r, with the sign of c (``ratfun.signed_root``).
+and ``apply_numeric`` and the norms of a band of several terms take their
+entries straight from the bands.  All exact work is on plain unreduced
+Python ints and takes no gcd.  With q0 = u/v, each monomial coefficient is
+evaluated at q0 once per call; the terms of a band keep integer numerators
+over one integer denominator, stepped by powers of u and v from column to
+column; and the q-integer radicands {m}_q = N_m / v^(m-1) come as their
+numerators N_m from one table, computed as far as the columns read it.
+Terms with equal (b, a) share target and radicand and merge exactly, as in
+``lie.apply_symbolic``; each merged scalar c * sqrt(r) is then rounded
+once, as the square root of one int/int true division for c^2 r, with the
+sign of c (``ratfun.signed_root``).
 A band of one term c, which is every band of a sum of distinct monomials,
 keeps c^2 r = num/den itself as running integers: num is the square of the
 running numerator, stepped by the square of its step, times the radicand
@@ -162,21 +163,27 @@ short meets the ``MAX_RADICAND_BITS`` check for its own columns only).
 One band is the limiting case where every component is
 one entry: the singular values are the absolute entries, so the norm is the
 largest of them (the sup-of-weights norm of a weighted shift, Shields
-1974), correctly rounded and read off the band fill without a dense array,
-numpy or an O(N^3) decomposition.  There is no iterative estimate: the top
+1974), correctly rounded and read off the band fill, or off one entry
+where the band is one term, without a dense array, numpy or an O(N^3)
+decomposition.  There is no iterative estimate: the top
 of the truncated shift spectrum is exponentially clustered ({n}_q -> 1/(1-q)
 geometrically), which stalls a Rayleigh quotient, and both exact routes are
 what the verification tolerances rely on.
 
-One term c B^b C^k A^a needs one column: with h = a + b, its squared
+One term c B^b C^k A^a needs one entry: with h = a + b, its squared
 entries e(m), in column m + a, have the ratio e(m+1)/e(m) =
 q^(2k) {m+h+1}_q / {m+1}_q, which falls as m grows.  So they are unimodal
 and peak at the first m where the ratio is at most 1 (an exact integer
-comparison), clamped to the last column inside the truncation, m = N - h - 1.
+comparison; m = 0 where h = 0 and the last m where k = 0 < h, with no
+search), clamped to the last column inside the truncation, m = N - h - 1.
 Rounding is monotone, so the one correctly rounded entry there is the
-largest of all N, bit for bit.  When h >= N no entry lies inside.  Such a
-term, and a band with several C-powers, which has no such ratio, are
-scanned column by column, with the rows >= N left out of the fill.
+largest of all N, bit for bit.  It is rounded with no band fill, as one
+``signed_root`` of the quotient that the fill divides for that column,
+(cn u^(km))^2 N_(m+1) ... N_(m+h) / ((cd v^(km))^2 v^(hm + h(h-1)/2)),
+after the same ``MAX_RADICAND_BITS`` check and with the same purge, so it
+is the double that the fill gives.  When h >= N no entry lies inside.  Such
+a term, and a band with several terms, are scanned column by column through
+``_bands``, with the rows >= N left out of the fill.
 
 The eigenvalues q^(kn) of C^k are rounded without the exact power, whose
 v^(kn) has kn bit_length(v) bits, past 10^8 for k = 389474 at q = 9999/10000.
@@ -243,16 +250,16 @@ class NumericQ(namedtuple("NumericQ", "value")):
     __slots__ = ()
 
     def __new__(cls, value):
-        value = Fraction(value)
-        if not 0 < value < 1:
+        if type(value) is not Fraction:
+            value = Fraction(value)
+        # the denominator of a Fraction is positive
+        if not 0 < value.numerator < value.denominator:
             raise ValueError(f"q must lie strictly between 0 and 1, got {value}")
         return super().__new__(cls, value)
 
     @classmethod
     def coerce(cls, value) -> "NumericQ":
-        if isinstance(value, NumericQ):
-            return value
-        return cls(Fraction(value))
+        return value if isinstance(value, NumericQ) else cls(value)
 
     def __float__(self) -> float:
         return float(self.value)
@@ -333,13 +340,7 @@ def _bands(x: Element, q0: Fraction, start: int, stop: int, rows: float = math.i
         if m0 >= m1:
             continue
         h, top = a + b, max(k for k, _ in parts)
-        # the last column m rounds c^2 r as one int/int division whose
-        # operands have at most about this many bits: a radicand part of
-        # h (m + h) bit_length(v) bits, and the square of a running integer of
-        # K m bit_length(v) bits
-        bits = (h * (m1 - 1 + h) + 2 * top * (m1 - 1)) * v.bit_length()
-        if bits > MAX_RADICAND_BITS:
-            raise ValueError(f"a column of up to {bits} bits exceeds MAX_RADICAND_BITS = {MAX_RADICAND_BITS}")
+        _check_column(h, top, m1 - 1, v)
         if len(parts) == 1:
             # one term c: c^2 r = num/den, with num = (cn u^(km))^2 R_m, a
             # running square times the radicand numerator R_m, and
@@ -413,6 +414,17 @@ def _bands(x: Element, q0: Fraction, start: int, stop: int, rows: float = math.i
                     roots = (sign * scaled_root(n * r, d) for n, r, d in zip(nums, rads, dens))
                     entries[i:j] = [root if abs(root) >= PURGE_EPS else 0.0 for root in roots]
         yield b, a, m0, entries
+
+
+def _check_column(h: int, k: int, m: int, v: int) -> None:
+    """Refuse column m + a of a band B^b C^k A^a, h = a + b, k its largest
+    C-power, at q = u/v, where the one int/int division that rounds its entry
+    would take operands of more than ``MAX_RADICAND_BITS`` bits: a radicand
+    part of h (m + h) bit_length(v) bits, and the square of a running integer
+    of k m bit_length(v) bits."""
+    bits = (h * (m + h) + 2 * k * m) * v.bit_length()
+    if bits > MAX_RADICAND_BITS:
+        raise ValueError(f"a column of up to {bits} bits exceeds MAX_RADICAND_BITS = {MAX_RADICAND_BITS}")
 
 
 def _column_streams(rad_nums, i: int, h: int, m0: int, count: int, firsts: list, steps: list) -> list:
@@ -492,25 +504,40 @@ def _peak(q0: Fraction, k: int, h: int, M: int) -> int:
     {m+1}_q ... {m+h}_q of a one-term band B^b C^k A^a, h = a + b, peak.
     The ratio e(m+1)/e(m) = q^(2k) {m+h+1}_q / {m+1}_q falls as m grows, so
     the peak is the least m with q^(m+1) (1 - q^(2k+h)) <= 1 - q^(2k), or M
-    when there is none; with q0 = u/v that is an integer comparison."""
+    when there is none; with q0 = u/v that is an integer comparison.  Where
+    h = 0 the ratio is q^(2k) <= 1 for every m, so the peak is 0, and where
+    k = 0 < h it is above 1 for every m, so the peak is M: neither bisects."""
+    if not h:
+        return 0
+    if not k:
+        return M
     u, v = q0.numerator, q0.denominator
     left, right = v ** (2 * k + h) - u ** (2 * k + h), v**h * (v ** (2 * k) - u ** (2 * k))
     return bisect_left(range(M), True, key=lambda m: u ** (m + 1) * left <= v ** (m + 1) * right)
 
 
 def _largest_entry(x: Element, q0: Fraction, N: int) -> float:
-    """The largest absolute entry of the N x N truncation of x, one band,
-    read from its peak column alone when x is one term with entries inside,
-    else scanned column by column."""
-    start, stop = 0, N
+    """The largest absolute entry of the N x N truncation of x, one band:
+    where x is one term with entries inside, its peak entry, rounded as one
+    ``signed_root`` with no band fill, else scanned column by column."""
     if len(x.terms) == 1:
-        (bw,) = x.terms
-        h = bw.a + bw.b
+        ((bw, c),) = x.terms.items()
+        h, k = bw.a + bw.b, bw.k
         if h < N:
-            # column m + a holds the entry of v_(m+b), inside for m < N - h
-            start = _peak(q0, bw.k, h, N - h - 1) + bw.a
-            stop = start + 1
-    return max((abs(v) for *_, entries in _bands(x, q0, start, stop, N) for v in entries), default=0.0)
+            # column m + a holds the entry of v_(m+b), inside for m < N - h;
+            # its square c^2 q^(2km) {m+1}_q ... {m+h}_q is the quotient
+            # that ``_bands`` divides, checked against the same bound
+            c = c.evaluate(q0)
+            u, v = q0.numerator, q0.denominator
+            m = _peak(q0, k, h, N - h - 1)
+            _check_column(h, k, m, v)
+            if not c:
+                return 0.0
+            cn, cd = c.numerator * u ** (k * m), c.denominator * v ** (k * m)
+            rad = math.prod(islice(_qintegers(q0, m + 1), h))
+            entry = abs(signed_root(cn, cd, rad, v ** (h * m + h * (h - 1) // 2)))
+            return entry if entry >= PURGE_EPS else 0.0
+    return max((abs(v) for *_, entries in _bands(x, q0, 0, N, N) for v in entries), default=0.0)
 
 
 def _head(x: Element, q0: Fraction, N: int, g: int):

@@ -46,6 +46,20 @@ def test_numeric_q_validation():
     for bad in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2)):
         with pytest.raises(ValueError):
             NumericQ(bad)
+    # coerce refuses what the constructor refuses, with the same message,
+    # whether the value comes as a Fraction, an int, a str or a float
+    for bad in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2), 0, 1, 2, -1):
+        for value in (bad, str(bad), float(bad)):
+            with pytest.raises(ValueError) as made:
+                NumericQ(value)
+            with pytest.raises(ValueError) as coerced:
+                NumericQ.coerce(value)
+            assert str(coerced.value) == str(made.value), value
+    for good in (Fraction(1, 4), "1/4", 0.25, Fraction(99, 100), "99/100", 0.99, Fraction(1, 10**30), "1e-30"):
+        q = NumericQ.coerce(good)
+        assert type(q) is NumericQ and type(q.value) is Fraction, good
+        assert q.value == NumericQ(good).value, good
+    assert NumericQ.coerce(HALF) is HALF
 
 
 def test_weights():
@@ -550,6 +564,9 @@ def _scan_norm(x, q, N):
 
 #: coefficients of one-term bands: signed, fractional, and q-dependent
 PEAK_COEFFS = ("1", "-5/3", "q^40/(1-q)^3")
+#: coefficients whose squared entries leave the normal range, or whose
+#: entries are purged below PURGE_EPS or lie near it
+BIG_PEAK_COEFFS = ("1/2^600", "-1/2^1000", "1/2^996", "2^600", "-3*2^900/(1-q)^2")
 
 
 @pytest.mark.parametrize("q", ORACLE_QS + (NEAR_ONE, Fraction(1, 100)), ids=str)
@@ -565,6 +582,13 @@ def test_one_term_norm_is_its_peak_column(q):
     for text, N in (("B", 600), ("-2*C*B", 600), ("C^3*A^2", 300), ("B^8", 300), ("q^3*C^5*A^8", 300)):
         x = expr.evaluate(text)
         assert op_norm(x, q, N) == _scan_norm(x, q, N), (text, N)
+    # peak entries whose squares lie below the normal range, past it, or
+    # near the purge threshold
+    for b, k, a in ((0, 0, 0), (0, 3, 0), (1, 0, 0), (3, 1, 0), (0, 2, 4), (0, 0, 2)):
+        for coeff in BIG_PEAK_COEFFS:
+            x = expr.evaluate(f"({coeff})*B^{b}*C^{k}*A^{a}")
+            for N in {a + b + 1, 17, 60} - {1}:
+                assert op_norm(x, q, N) == _scan_norm(x, q, N), (str(x), N)
 
 
 def test_one_term_norm_edge_cases():
@@ -590,6 +614,19 @@ def test_one_term_norm_edge_cases():
                 assert op_norm(pole, HALF, N) == _scan_norm(pole, HALF, N) == 0.0
     with pytest.raises(OverflowError):
         op_norm(huge, HALF, 4)
+    # a peak entry past the float range raises, as the scan does
+    for text in ("2^1100*B^3", "-2^1024*C", "3*2^1023*C^2*A^3"):
+        for norm in (op_norm, _scan_norm):
+            with pytest.raises(OverflowError):
+                norm(expr.evaluate(text), HALF, 40)
+    # the radicand budget of the peak column: B^143 at q = 99/100 peaks in
+    # its last column inside, m = N - 144, whose radicand has at most
+    # 143 (N - 1) bit_length(100) bits, 1,999,998 at N = 1999
+    shift = expr.evaluate("B^143")
+    assert op_norm(shift, NEAR_ONE, 1999) == apply_numeric(shift, 1855, NEAR_ONE)[1998]
+    with pytest.raises(ValueError) as refused:
+        op_norm(shift, NEAR_ONE, 2000)
+    assert str(refused.value) == "a column of up to 2000999 bits exceeds MAX_RADICAND_BITS = 2000000"
     # N > h and k = 0: the peak column m = 1 of B^3 at N = 5 fits the float
     # range, while column 2, whose image v_5 lies outside the truncation,
     # does not; the infinite model rounds that entry, the truncation never
@@ -602,19 +639,23 @@ def test_one_term_norm_edge_cases():
 
 
 def test_one_term_norm_reads_one_column(monkeypatch):
-    yielded = []
-    bands = spectral._bands
+    # the peak entry is rounded alone, with no band fill
+    rounded = []
+    root = spectral.signed_root
 
     def counting(*args):
-        for band in bands(*args):
-            yielded.extend(band[3])
-            yield band
+        rounded.append(args)
+        return root(*args)
 
-    monkeypatch.setattr(spectral, "_bands", counting)
+    def no_fill(*args):
+        raise AssertionError("a one-term norm fills a band")
+
+    monkeypatch.setattr(spectral, "signed_root", counting)
+    monkeypatch.setattr(spectral, "_bands", no_fill)
     for text in ("C", "B^3", "C^2*A", "-3*C*B^2"):
-        yielded.clear()
+        rounded.clear()
         op_norm(expr.evaluate(text), HALF, 300)
-        assert len(yielded) == 1, text
+        assert len(rounded) == 1, text
 
 
 #: g = 1: one residue-class block, the whole truncation
