@@ -82,9 +82,11 @@ def tokenize(text: str):
             i += 1
             continue
         col = i + 1
-        if ch.isdigit():
+        # isdecimal accepts exactly the digits that int() reads: isdigit
+        # would also take superscripts and circled digits
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(Token("nat", text[i:j], col))
             i = j

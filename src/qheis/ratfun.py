@@ -758,34 +758,31 @@ _MIN_NORMAL = float_info.min
 
 def signed_root(cn: int, cd: int, rn: int, rd: int) -> float:
     """The float c * sqrt(r) for c = cn/cd != 0 and r = rn/rd > 0, from
-    integers with cd, rn, rd positive and neither fraction reduced.
-
-    It is the square root of c^2 r rounded once, with the sign of c: int
-    true division rounds correctly for operands of any size, so the
-    unreduced quotient gives the double that ``float`` of the reduced
-    ``Fraction`` gives.  Where c^2 r is past the float range or below its
-    normal range, ``scaled_root`` takes it instead.
+    integers with cd, rn, rd positive and neither fraction reduced: the
+    ``scaled_root`` of c^2 r = cn^2 rn / (cd^2 rd), with the sign of c.
     """
-    num, den = cn * cn * rn, cd * cd * rd
-    try:
-        square = num / den
-        if square >= _MIN_NORMAL:
-            mag = sqrt(square)
-            return mag if cn > 0 else -mag
-    except OverflowError:
-        pass
-    mag = scaled_root(num, den)
+    mag = scaled_root(cn * cn * rn, cd * cd * rd)
     return mag if cn > 0 else -mag
 
 
 def scaled_root(num: int, den: int) -> float:
-    """The float sqrt(num/den) for positive integers, at any magnitude: the
-    quotient is taken with 4^s times the denominator (or 4^-s times the
-    numerator), so that it lies near 1, and the root is scaled back by 2^s,
-    all exact, so small roots keep every bit; ``OverflowError`` means the
-    root is no finite float.  Where num/den is a normal double, this is its
-    square root, the same double that ``sqrt(num / den)`` gives: scaling by
-    a power of four commutes with both roundings there."""
+    """The float sqrt(num/den) for num >= 0 and den > 0, at any magnitude,
+    from integers that need not be reduced: the square root of num/den
+    rounded once.  Int true division rounds correctly for operands of any
+    size, so where the unreduced quotient is a normal double it gives the
+    double that ``float`` of the reduced ``Fraction`` gives, and its root is
+    returned.  Elsewhere the quotient is taken with 4^s times the
+    denominator (or 4^-s times the numerator), so that it lies near 1, and
+    the root is scaled back by 2^s, all exact, so small roots keep every
+    bit; scaling by a power of four commutes with both roundings where the
+    quotient is normal, so the two ways agree there.  The root of 0 is +0.0,
+    and ``OverflowError`` means the root is no finite float."""
+    try:
+        square = num / den
+        if square >= _MIN_NORMAL:
+            return sqrt(square)
+    except OverflowError:
+        pass
     s = (num.bit_length() - den.bit_length()) // 2
     root = sqrt(num / (den << 2 * s) if s >= 0 else (num << -2 * s) / den)
     exp = frexp(root)[1] + s

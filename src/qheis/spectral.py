@@ -23,20 +23,23 @@ column; and the q-integer radicands {m}_q = N_m / v^(m-1) come as their
 numerators N_m from one table, computed as far as the columns read it.
 Terms with equal (b, a) share target and radicand and merge exactly, as in
 ``lie.apply_symbolic``; each merged scalar c * sqrt(r) is then rounded
-once, as the square root of one int/int true division for c^2 r, with the
-sign of c (``ratfun.signed_root``).
+once, as the square root of c^2 r with the sign of c (``ratfun.signed_root``).
+There is one root, ``ratfun.scaled_root``: the square root of one int/int
+true division where that quotient is a normal double, else of the quotient
+scaled by a power of four, and the root scaled back.
 A band of one term c, which is every band of a sum of distinct monomials,
-keeps c^2 r = num/den itself as running integers: num is the square of the
-running numerator, stepped by the square of its step, times the radicand
-numerator, and den is the square of the running denominator times the
-radicand denominator, stepped by the product of their steps.  Its columns
-are rounded in one pass at C level, ``map(truediv, ...)`` and then
-``map(math.sqrt, ...)``, negated once where c < 0.  Where a square is a
-normal double these are the doubles that ``signed_root`` gives; the columns
-whose squares fall below 2^-1022, which lie at the ends of the band, since
-the squares rise or rise and then fall, are rounded again column by column,
-each square scaled by a power of four (``ratfun.scaled_root``), and a band
-with a square past the float range is rounded that way throughout.
+keeps c^2 r itself as running integers, formed in one place, ``_square``:
+the square in column m + a is firsts[0] steps[0]^m R_m over firsts[1]
+steps[1]^m, a running square times the radicand numerator R_m over the
+square of the running denominator times the radicand denominator, each
+stepped by one product.  Its columns are rounded in one pass at C level,
+``map(truediv, ...)`` and then ``map(math.sqrt, ...)``, negated once where
+c < 0: where a square is a normal double these are the doubles that
+``scaled_root`` gives.  The squares rise, or rise and then fall, so those
+below the normal range lie at the ends of the band, and the end-column
+repair rounds those columns again, one ``scaled_root`` each.  A square past
+the float range makes the one pass overflow; its entries are then all 0.0,
+no column counts as normal, and the repair rounds the whole band.
 Int true division rounds correctly for any operand size, so the unreduced quotient gives the double
 that ``float`` of the reduced fraction gives: the values are the same exact
 rationals that ``apply_symbolic(x, n).numeric(q0)`` rounds, wherever every
@@ -75,8 +78,8 @@ A band with no C is one term c B^b A^a, whose squared entries c^2 {m+1}_q
 the square root, and, on the scaled route, scales by a power of two that is
 exact or, below the normal range, rounds once more, each step monotone
 whatever power of four the unreduced operands pick; so is the purge.  So
-the fill of such a band stops at the first column whose entry equals the
-limit entry, which
+the fill of such a band, in the one pass and in the end-column repair
+alike, stops at the first column whose entry equals the limit entry, which
 ``signed_root`` rounds from (cn, cd, v^h, (v-u)^h) and which takes the
 guard of the entries (0.0 where c vanishes at q0 or the limit is purged,
 never the -0.0 that ``signed_root`` gives of a zero c), and repeats it for
@@ -178,10 +181,12 @@ comparison; m = 0 where h = 0 and the last m where k = 0 < h, with no
 search), clamped to the last column inside the truncation, m = N - h - 1.
 Rounding is monotone, so the one correctly rounded entry there is the
 largest of all N, bit for bit.  It is rounded with no band fill, as one
-``signed_root`` of the quotient that the fill divides for that column,
-(cn u^(km))^2 N_(m+1) ... N_(m+h) / ((cd v^(km))^2 v^(hm + h(h-1)/2)),
-after the same ``MAX_RADICAND_BITS`` check and with the same purge, so it
-is the double that the fill gives.  When h >= N no entry lies inside.  Such
+``scaled_root`` of the square that ``_square`` gives for that column,
+(cn u^(km))^2 N_(m+1) ... N_(m+h) / ((cd v^(km))^2 v^(hm + h(h-1)/2)), the
+integers that the fill divides there, after the same ``MAX_RADICAND_BITS``
+check and with the same purge, so it is the double that the fill gives; a
+coefficient that vanishes at q0 gives +0.0, the root of a zero square.
+When h >= N no entry lies inside.  Such
 a term, and a band with several terms, are scanned column by column through
 ``_bands``, with the rows >= N left out of the fill.
 
@@ -315,8 +320,11 @@ def _bands(x: Element, q0: Fraction, start: int, stop: int, rows: float = math.i
     """Yield (b, a, m0, entries) for each band B^b C^k A^a of x in term
     order, where entries[i] is the numeric entry that v_(m0+i+a) sends to
     v_(m0+i+b), for the columns in [start, stop) and the rows below ``rows``,
-    with 0.0 where it is zero or below the purge threshold; see the module
-    notes for the rounding policy.  Before the first band is filled, every
+    with 0.0 where it is zero or below the purge threshold.  A band of
+    several terms rounds each merged scalar with ``signed_root``; a one-term
+    band rounds its ``_square`` in one pass and repairs the columns at its
+    ends whose squares are below the normal range, all of them where the
+    pass overflows (see the module notes).  Before the first band is filled, every
     term that meets a column is evaluated, so a pole at q0 raises all the
     same, and every band is checked against ``MAX_RADICAND_BITS``."""
     u, v = q0.numerator, q0.denominator
@@ -330,9 +338,9 @@ def _bands(x: Element, q0: Fraction, start: int, stop: int, rows: float = math.i
     # v^K; the radicand {m+1}_q ... {m+h}_q of column m, h = a + b, has the
     # denominator v^(h m + h(h-1)/2), which steps by v^h
     # (b, a, the coefficient of a one-term band, K, first and end m, and the
-    # running integers at m = 0 and their steps: of a one-term band the
-    # numerator and denominator of c^2 r but for the radicand numerator, else
-    # the term numerators, the denominator and the radicand denominator)
+    # running integers at m = 0 and their steps: of a one-term band its
+    # ``_square``, else the term numerators, the denominator and the radicand
+    # denominator)
     bands = []
     for (b, a), parts in groups.items():
         # column m + a holds the entry of v_(m+b), computed for m + b < rows
@@ -342,12 +350,8 @@ def _bands(x: Element, q0: Fraction, start: int, stop: int, rows: float = math.i
         h, top = a + b, max(k for k, _ in parts)
         _check_column(h, top, m1 - 1, v)
         if len(parts) == 1:
-            # one term c: c^2 r = num/den, with num = (cn u^(km))^2 R_m, a
-            # running square times the radicand numerator R_m, and
-            # den = (cd v^(km))^2 v^(hm + h(h-1)/2)
             ((_, c),) = parts
-            firsts = [c.numerator**2, c.denominator**2 * v ** (h * (h - 1) // 2)]
-            steps = [u ** (2 * top), v ** (2 * top + h)]
+            firsts, steps = _square(c, top, h, u, v)
         else:
             common = math.lcm(*(c.denominator for _, c in parts))
             firsts = [c.numerator * (common // c.denominator) for _, c in parts] + [common, v ** (h * (h - 1) // 2)]
@@ -387,7 +391,7 @@ def _bands(x: Element, q0: Fraction, start: int, stop: int, rows: float = math.i
             continue
         # each square rounded once and its root taken, in one pass at C
         # level: where every square is a normal double, these are the entries
-        # that ``signed_root`` rounds.  The squares rise, or rise and then
+        # that ``scaled_root`` rounds.  The squares rise, or rise and then
         # fall, and so do the rounded ones, so the least entry lies at an
         # end; it is above 2^-511 only where its square is at least 2^-1022
         sign = 1.0 if c > 0 else -1.0
@@ -396,24 +400,33 @@ def _bands(x: Element, q0: Fraction, start: int, stop: int, rows: float = math.i
         try:
             entries = _saturate(roots if sign > 0 else map(neg, roots), limit, count)
         except OverflowError:
-            entries = None
-        if entries is None:
-            # some square is past the float range
-            rads, nums, dens = _column_streams(*streams)
-            roots = (sign * scaled_root(n * r, d) for n, r, d in zip(nums, rads, dens))
-            entries = _saturate((root if abs(root) >= PURGE_EPS else 0.0 for root in roots), limit, count)
-        elif min(abs(entries[0]), abs(entries[-1])) <= 2.0**-511:
-            # the squares below the normal range, at the ends of the band,
-            # are rounded again column by column; an entry that the one pass
-            # saturated there is the limit, which these roots round to too
+            # some square is past the float range: no column counts as
+            # normal, so the repair below rounds them all
+            entries = [0.0] * count
+        if min(abs(entries[0]), abs(entries[-1])) <= 2.0**-511:
+            # the end-column repair: the squares below the normal range, at
+            # the ends of the band, or all of them after an overflow, are
+            # rounded again column by column, up to the limit entry, which
+            # the entries of a band without C rise toward on any run of
+            # columns
             normal = [i for i, e in enumerate(entries) if abs(e) > 2.0**-511]
             left, right = (normal[0], normal[-1] + 1) if normal else (count, count)
             for i, j in ((0, left), (right, count)):
                 if i < j:
                     rads, nums, dens = _column_streams(rad_nums, m0 + 1 - lo + i, a + b, m0 + i, j - i, firsts, steps)
                     roots = (sign * scaled_root(n * r, d) for n, r, d in zip(nums, rads, dens))
-                    entries[i:j] = [root if abs(root) >= PURGE_EPS else 0.0 for root in roots]
+                    entries[i:j] = _saturate((root if abs(root) >= PURGE_EPS else 0.0 for root in roots), limit, j - i)
         yield b, a, m0, entries
+
+
+def _square(c: Fraction, k: int, h: int, u: int, v: int) -> tuple:
+    """The running square of a one-term band c B^b C^k A^a, h = a + b, at
+    q0 = u/v: (firsts, steps) such that the square c^2 q^(2km) {m+1}_q ...
+    {m+h}_q of its entry in column m + a is firsts[0] steps[0]^m R_m over
+    firsts[1] steps[1]^m, with R_m the product of the h q-integer numerators
+    N_(m+1) ... N_(m+h).  With c = cn/cd, that is (cn u^(km))^2 R_m over
+    (cd v^(km))^2 v^(hm + h(h-1)/2), none of it reduced."""
+    return (c.numerator**2, c.denominator**2 * v ** (h * (h - 1) // 2)), (u ** (2 * k), v ** (2 * k + h))
 
 
 def _check_column(h: int, k: int, m: int, v: int) -> None:
@@ -519,7 +532,8 @@ def _peak(q0: Fraction, k: int, h: int, M: int) -> int:
 def _largest_entry(x: Element, q0: Fraction, N: int) -> float:
     """The largest absolute entry of the N x N truncation of x, one band:
     where x is one term with entries inside, its peak entry, rounded as one
-    ``signed_root`` with no band fill, else scanned column by column."""
+    ``scaled_root`` of its ``_square`` with no band fill, else scanned column
+    by column."""
     if len(x.terms) == 1:
         ((bw, c),) = x.terms.items()
         h, k = bw.a + bw.b, bw.k
@@ -531,11 +545,10 @@ def _largest_entry(x: Element, q0: Fraction, N: int) -> float:
             u, v = q0.numerator, q0.denominator
             m = _peak(q0, k, h, N - h - 1)
             _check_column(h, k, m, v)
-            if not c:
-                return 0.0
-            cn, cd = c.numerator * u ** (k * m), c.denominator * v ** (k * m)
-            rad = math.prod(islice(_qintegers(q0, m + 1), h))
-            entry = abs(signed_root(cn, cd, rad, v ** (h * m + h * (h - 1) // 2)))
+            # the steps enter as their m-th powers, so where the peak is
+            # column a no power of q is formed, whatever k is
+            (f, g), (s, t) = _square(c, k if m else 0, h, u, v)
+            entry = scaled_root(f * s**m * math.prod(islice(_qintegers(q0, m + 1), h)), g * t**m)
             return entry if entry >= PURGE_EPS else 0.0
     return max((abs(v) for *_, entries in _bands(x, q0, 0, N, N) for v in entries), default=0.0)
 

@@ -86,11 +86,13 @@ def test_normalize_text_output(capsys):
 
 
 def test_syntax_error_exit_2(capsys):
-    code = main(["normalize", "A @ B"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "column 3" in captured.err
+    # a superscript digit is a syntax error too, not an int() failure
+    for text in ("A @ B", "A^\u00b2"):
+        code = main(["normalize", text])
+        captured = capsys.readouterr()
+        assert code == 2, text
+        assert captured.out == ""
+        assert "column 3" in captured.err, text
 
 
 def test_domain_errors_exit_1(capsys):

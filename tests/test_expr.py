@@ -258,6 +258,15 @@ def test_parse_errors_carry_columns():
     with pytest.raises(ParseError) as err:
         parse("A ^ q")
     assert err.value.expected == ("nat",)
+    # a superscript or circled digit is no NAT, which int() could not read
+    with pytest.raises(ParseError) as err:
+        parse("A^\u00b2")
+    assert err.value.column == 3
+    with pytest.raises(ParseError) as err:
+        parse("\u2460*A")
+    assert err.value.column == 1
+    # every decimal digit that int() reads still makes a NAT
+    assert evaluate("A^\u0661") == A
 
 
 def test_division_rules():

@@ -123,6 +123,8 @@ def test_signed_root_below_the_normal_range():
     # c sqrt(r) = 2^-1074 is the smallest subnormal; half of it rounds to 0
     assert signed_root(1, 2**1074, 1, 1) == math.ldexp(1.0, -1074)
     assert signed_root(1, 2**1076, 1, 1) == 0.0
+    # the root of a zero square is +0.0, never -0.0, from any denominator
+    assert scaled_root(0, 7**600).hex() == "0x0.0p+0"
     rng = random.Random(19)
     for _ in range(200):
         cn, cd = rng.choice([-1, 1]) * rng.randrange(1, 10**20), rng.randrange(1, 10**20) * 7**rng.randrange(200, 600)

@@ -147,7 +147,7 @@ def test_band_fill_equals_symbolic_oracle_bitwise(q):
 #: bands whose entries are zero (a coefficient that vanishes at q = 1/2) or
 #: purged below PURGE_EPS, with C and without: a band with no C is filled
 #: up to its limit entry, which must be 0.0 here, not -0.0
-ZERO_BANDS = ("(1-2*q)*B^3*C", "q^2000*B^3*C", "(1-2*q)*B^3", "q^2000*B^3")
+ZERO_BANDS = ("(1-2*q)*B^3*C", "q^2000*B^3*C", "(1-2*q)*B^3", "q^2000*B^3", "(2*q-1)*C", "-(q^2000)*B^3")
 
 
 @pytest.mark.parametrize("q", ORACLE_QS + (NEAR_ONE,), ids=str)
@@ -636,12 +636,16 @@ def test_one_term_norm_edge_cases():
     with pytest.raises(OverflowError):
         apply_numeric(edge, 2, HALF)
     assert matrix(edge, HALF, 5).max_abs() == op_norm(edge, HALF, 5)
+    # C^k peaks in column 0, which reads no power of q: a C-power whose
+    # q^(2k) would have 1.3e8 bits at q = 99/100 costs none
+    assert op_norm(Element.monomial(0, 10**7, 0, -3 * RF_ONE), NEAR_ONE, 10) == 3.0
 
 
 def test_one_term_norm_reads_one_column(monkeypatch):
-    # the peak entry is rounded alone, with no band fill
+    # the peak entry is rounded alone, as one scaled_root of its square,
+    # with no band fill
     rounded = []
-    root = spectral.signed_root
+    root = spectral.scaled_root
 
     def counting(*args):
         rounded.append(args)
@@ -650,7 +654,7 @@ def test_one_term_norm_reads_one_column(monkeypatch):
     def no_fill(*args):
         raise AssertionError("a one-term norm fills a band")
 
-    monkeypatch.setattr(spectral, "signed_root", counting)
+    monkeypatch.setattr(spectral, "scaled_root", counting)
     monkeypatch.setattr(spectral, "_bands", no_fill)
     for text in ("C", "B^3", "C^2*A", "-3*C*B^2"):
         rounded.clear()
@@ -839,6 +843,46 @@ def test_op_norm_against_a_40_digit_reference(q):
             want = max(mpmath.svd_r(mpmath.matrix(matrix(x, q, N).data.tolist()), compute_uv=False))
             got = op_norm(x, q, N)
             assert abs(got - want) <= 4 * np.spacing(float(want)), (text, got, want)
+
+
+#: largest gap, in units in the last place, between op_norm of a
+#: tridiagonal truncation below and its exact largest |eigenvalue|: the
+#: gaps seen run from 2 ulp above it to 6 ulp below it (A + B + C at
+#: q = 1/2, N = 300, where the LAPACK SVD is that far low)
+STURM_ULPS = 8
+
+
+def _sturm_count(diagonal, off_squares, x):
+    """The number of eigenvalues below x of the symmetric tridiagonal matrix
+    with this diagonal and these squared off-diagonal entries, in exact
+    arithmetic and with no square root: by Sylvester's law of inertia, the
+    number of negative pivots of the LDL^T factorization of T - x I."""
+    count, pivot = 0, None
+    for i, d in enumerate(diagonal):
+        pivot = d - x if i == 0 else d - x - off_squares[i - 1] / pivot
+        assert pivot, f"a zero pivot at {x}"
+        count += pivot < 0
+    return count
+
+
+@pytest.mark.parametrize("q", (Fraction(1, 2), Fraction(1, 3)), ids=str)
+def test_op_norm_of_tridiagonal_truncations_against_an_exact_sturm_count(q):
+    # A + B and A + B + C are symmetric tridiagonal: the diagonal is 0 or
+    # q^n, and the squared off-diagonal in rows n, n + 1 is {n+1}_q, all
+    # rational, so Sturm counts of Fractions place the largest |eigenvalue|,
+    # which is the norm, independently of LAPACK and of the band fill
+    for text, diagonal in (("A+B", lambda n: Fraction(0)), ("A+B+C", lambda n: q**n)):
+        x = expr.evaluate(text)
+        for N in (100, 300):
+            d = [diagonal(n) for n in range(N)]
+            off_squares = [(1 - q ** (n + 1)) / (1 - q) for n in range(N - 1)]
+            norm = Fraction(op_norm(x, q, N))
+            gap = STURM_ULPS * Fraction(math.ulp(norm))
+            lo, hi = norm - gap, norm + gap
+            # every eigenvalue lies inside (-hi, hi), and some eigenvalue
+            # outside (-lo, lo)
+            assert _sturm_count(d, off_squares, -hi) == 0 and _sturm_count(d, off_squares, hi) == N, (text, N)
+            assert _sturm_count(d, off_squares, -lo) > 0 or _sturm_count(d, off_squares, lo) < N, (text, N)
 
 
 #: shapes whose truncations keep, past a head of columns, one band without C
