@@ -197,7 +197,7 @@ def _pair_sum(x: Element, y: Element, memo: dict, f) -> Element:
                 prev = acc.get(bw)
                 if prev is None:
                     acc[bw] = w
-                elif (w := prev + w)._cn:
+                elif (w := prev + w)._p[0]:
                     acc[bw] = w
                 else:
                     del acc[bw]

@@ -450,7 +450,8 @@ def json_entries(value) -> int:
     max(-w, 0); of a ``range``, its length; of a dict, a list, a tuple or a
     ``LinComb``, the sum over the values it holds."""
     if isinstance(value, RatFun):
-        return len(value._n) + len(value._d) + abs(value._v) + abs(value._w)
+        _, _, v, w, n, d = value._p
+        return len(n) + len(d) + abs(v) + abs(w)
     if isinstance(value, range):
         return len(value)
     if isinstance(value, LinComb):
@@ -465,7 +466,7 @@ def json_entries(value) -> int:
 def text_entries(c: RatFun) -> int:
     """Entries that ``str(c)`` writes out: those of ``ratfun_json(c)`` but
     the |v| zeros, which the text writes as exponents."""
-    return json_entries(c) - abs(c._v)
+    return json_entries(c) - abs(c._p[2])
 
 
 def json_text(doc) -> str:

@@ -32,7 +32,9 @@ product adds the valuations and cross-cancels gcd(N1, D2) and gcd(N2, D1),
 and by Gauss's lemma nothing else can cancel; the contents cross-cancel the
 same way, gcd(cn1, cd2) and gcd(cn2, cd1) (Knuth, TAOCP vol. 2, 4.5.1).
 Where all four cores are 1 (c q^v (q - 1)^w, most coefficients of the
-identity suite), it ends there; values are built by the bound slot setters.
+identity suite), it ends there.  A value holds its six parts as one tuple
+in its one slot, ``_p``: it is built by one store through the bound slot
+setter and read by one unpacking.
 A sum aligns both valuations to the smaller ones, combines, and strips q and
 q - 1 from the result by its constant term and its coefficient sum
 (synthetic division at q = 1).  Over one denominator D it then takes one gcd
@@ -376,30 +378,29 @@ _new = object.__new__
 
 
 def _ratfun(cn: int, cd: int, v: int, w: int, n: tuple, d: tuple) -> "RatFun":
-    """Wrap the six canonical parts (see the module docstring)."""
+    """Wrap the six canonical parts (see the module docstring) as the one
+    tuple of the ``_p`` slot."""
     out = _new(RatFun)
-    _set_cn(out, cn)
-    _set_cd(out, cd)
-    _set_v(out, v)
-    _set_w(out, w)
-    _set_n(out, n)
-    _set_d(out, d)
+    _set_p(out, (cn, cd, v, w, n, d))
     return out
 
 
-def _from_polynomial(p: QPolynomial) -> "RatFun":
-    """The nonzero polynomial p, from its dense coefficients."""
+def _polynomial_parts(p: QPolynomial) -> tuple:
+    """The canonical parts of the nonzero polynomial p, from its dense
+    coefficients."""
     cn, cd, prim = p._integral()
     # prim is primitive with a positive leading coefficient, so its stripped
     # content is 1
     _, v, w, n = _strip(prim)
-    return _ratfun(cn, cd, v, w, n, _ONE)
+    return cn, cd, v, w, n, _ONE
 
 
-def _product(x: "RatFun", c: int, d: int, v: int, w: int, n2: tuple, d2: tuple) -> "RatFun":
-    """x times (c/d) q^v (q - 1)^w (n2/d2), the six parts of a canonical
-    value or of its reciprocal with the sign moved up to c."""
-    a, b = x._cn, x._cd
+def _product(x: tuple, y: tuple) -> "RatFun":
+    """The product of the values with the canonical parts x and y, where y
+    may also be the parts of a reciprocal with the sign moved up to its
+    content."""
+    a, b, v1, w1, n1, d1 = x
+    c, d, v, w, n2, d2 = y
     if not a or not c:
         return RF_ZERO
     if d != 1:
@@ -410,9 +411,8 @@ def _product(x: "RatFun", c: int, d: int, v: int, w: int, n2: tuple, d2: tuple) 
         g = gcd(c, b)
         if g != 1:
             c, b = c // g, b // g
-    n1, d1 = x._n, x._d
     if n1 == d1 == n2 == d2 == _ONE:
-        return _ratfun(a * c, b * d, x._v + v, x._w + w, _ONE, _ONE)
+        return _ratfun(a * c, b * d, v1 + v, w1 + w, _ONE, _ONE)
     if n1 != _ONE and d2 != _ONE:
         g = _gcd(n1, d2)
         if g != _ONE:
@@ -421,16 +421,16 @@ def _product(x: "RatFun", c: int, d: int, v: int, w: int, n2: tuple, d2: tuple) 
         g = _gcd(n2, d1)
         if g != _ONE:
             n2, d1 = _divexact(n2, g), _divexact(d1, g)
-    return _ratfun(a * c, b * d, x._v + v, x._w + w, _mul(n1, n2), _mul(d1, d2))
+    return _ratfun(a * c, b * d, v1 + v, w1 + w, _mul(n1, n2), _mul(d1, d2))
 
 
-def _quotient(x: "RatFun", y: "RatFun") -> "RatFun":
-    """x / y for y != 0: x times the reciprocal of y, with the sign of its
-    content moved up."""
-    c, d = y._cn, y._cd
+def _quotient(x: tuple, y: tuple) -> "RatFun":
+    """The quotient of the values with the canonical parts x and y != 0: x
+    times the reciprocal of y, with the sign of its content moved up."""
+    c, d, v, w, n, dd = y
     if c < 0:
         c, d = -c, -d
-    return _product(x, d, c, -y._v, -y._w, y._d, y._n)
+    return _product(x, (d, c, -v, -w, dd, n))
 
 
 class RatFun:
@@ -439,16 +439,16 @@ class RatFun:
     The canonical representative is unique, so ``==`` over ``RatFun`` is
     equality in the field of rational functions.  The value is stored only
     as the six parts (cn / cd) * q^v * (q - 1)^w * N / D of the module
-    docstring, all integers; ``num``, ``den``, the text and the sort key are
-    computed from them on each use, with no cache, and equal those of the
-    reduced fraction whatever the split.  ``Fraction`` appears only where a
-    value leaves or enters as rational numbers: the ``QPolynomial``
-    coefficients of ``num``, ``den`` and ``RatFun(num, den)``, the value of
-    ``evaluate``, and ``==`` against a ``Fraction``; a constant hashes as
-    the number it equals.
+    docstring, all integers, held as the one tuple ``_p``; ``num``, ``den``,
+    the text and the sort key are computed from them on each use, with no
+    cache, and equal those of the reduced fraction whatever the split.
+    ``Fraction`` appears only where a value leaves or enters as rational
+    numbers: the ``QPolynomial`` coefficients of ``num``, ``den`` and
+    ``RatFun(num, den)``, the value of ``evaluate``, and ``==`` against a
+    ``Fraction``; a constant hashes as the number it equals.
     """
 
-    __slots__ = ("_cn", "_cd", "_v", "_w", "_n", "_d")
+    __slots__ = ("_p",)
 
     def __new__(cls, num, den=_POLY_ONE):
         num, den = _poly(num), _poly(den)
@@ -456,18 +456,30 @@ class RatFun:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
             return RF_ZERO
-        return _quotient(_from_polynomial(num), _from_polynomial(den))
+        return _quotient(_polynomial_parts(num), _polynomial_parts(den))
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFun is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("RatFun is immutable")
+
     def __reduce__(self):
-        return _ratfun, (self._cn, self._cd, self._v, self._w, self._n, self._d)
+        return _ratfun, self._p
+
+    # the parts one at a time, for tests and cold code; the arithmetic
+    # unpacks ``_p`` in one step
+    _cn = property(lambda self: self._p[0])
+    _cd = property(lambda self: self._p[1])
+    _v = property(lambda self: self._p[2])
+    _w = property(lambda self: self._p[3])
+    _n = property(lambda self: self._p[4])
+    _d = property(lambda self: self._p[5])
 
     def _cores(self):
         """N and D with (q - 1)^|w| multiplied into the side it belongs to,
         from one binomial row."""
-        n, d, w = self._n, self._d, self._w
+        _, _, _, w, n, d = self._p
         if w > 0:
             n = _mul(n, _q_minus_1_power(w))
         elif w < 0:
@@ -480,7 +492,7 @@ class RatFun:
         and 1 / lead(D): ints where they are integral, ``Fraction`` values
         otherwise."""
         n, d = self._cores()
-        sn, sd = self._cn, self._cd
+        sn, sd, v, _, _, _ = self._p
         lead = d[-1]
         if lead != 1:
             d = tuple(_exact_quotient(x, lead) for x in d)
@@ -490,7 +502,6 @@ class RatFun:
             n = tuple(sn * x for x in n)
         else:
             n = tuple(_exact_quotient(sn * x, sd) for x in n)
-        v = self._v
         return n, max(v, 0), d, max(-v, 0)
 
     def _monic_coeffs(self):
@@ -528,13 +539,14 @@ class RatFun:
         return _ratfun(1, 1, e, 0, _ONE, _ONE)
 
     def is_zero(self) -> bool:
-        return not self._cn
+        return not self._p[0]
 
     def is_one(self) -> bool:
-        return self._cn == 1 and self._cd == 1 and self._is_constant()
+        return self._p == RF_ONE._p
 
     def _is_constant(self) -> bool:
-        return not self._v and not self._w and len(self._n) <= 1 and self._d == _ONE
+        _, _, v, w, n, d = self._p
+        return not v and not w and len(n) <= 1 and d == _ONE
 
     @staticmethod
     def _coerce(other):
@@ -548,24 +560,22 @@ class RatFun:
         other = other if type(other) is RatFun else self._coerce(other)
         if other is None:
             return NotImplemented
-        c1, c2 = self._cn, other._cn
+        c1, r1, v1, w1, n1, d1 = self._p
+        c2, r2, v2, w2, n2, d2 = other._p
         if not c1:
             return other
         if not c2:
             return self
         # c1/r1 + c2/r2 over their least common denominator: (x1 + x2) / den
-        r1, r2 = self._cd, other._cd
         k = gcd(r1, r2)
         x1, x2, den = c1 * (r2 // k), c2 * (r1 // k), r1 // k * r2
         # both over q^v (q - 1)^w, the smaller valuations
-        n1, n2 = self._n, other._n
-        v, w = min(self._v, other._v), min(self._w, other._w)
-        if self._w != other._w:
-            n1 = _mul(n1, _q_minus_1_power(self._w - w))
-            n2 = _mul(n2, _q_minus_1_power(other._w - w))
+        v, w = min(v1, v2), min(w1, w2)
+        if w1 != w2:
+            n1 = _mul(n1, _q_minus_1_power(w1 - w))
+            n2 = _mul(n2, _q_minus_1_power(w2 - w))
         # (0,) * 0 is empty
-        n1, n2 = (0,) * (self._v - v) + n1, (0,) * (other._v - v) + n2
-        d1, d2 = self._d, other._d
+        n1, n2 = (0,) * (v1 - v) + n1, (0,) * (v2 - v) + n2
         if d1 == d2:
             s = _combine(x1, n1, x2, n2)
             if not s:
@@ -589,7 +599,8 @@ class RatFun:
     __radd__ = __add__
 
     def __neg__(self) -> "RatFun":
-        return _ratfun(-self._cn, self._cd, self._v, self._w, self._n, self._d) if self._cn else self
+        cn, cd, v, w, n, d = self._p
+        return _ratfun(-cn, cd, v, w, n, d) if cn else self
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -607,7 +618,7 @@ class RatFun:
         other = other if type(other) is RatFun else self._coerce(other)
         if other is None:
             return NotImplemented
-        return _product(self, other._cn, other._cd, other._v, other._w, other._n, other._d)
+        return _product(self._p, other._p)
 
     __rmul__ = __mul__
 
@@ -615,9 +626,9 @@ class RatFun:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not other._cn:
+        if not other._p[0]:
             raise ZeroDivisionError("division by the zero rational function")
-        return _quotient(self, other)
+        return _quotient(self._p, other._p)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -633,20 +644,21 @@ class RatFun:
             return self.inverse() ** (-e)
         if e == 0:
             return RF_ONE
-        if not self._cn:
+        cn, cd, v, w, n, d = self._p
+        if not cn:
             return self
-        return _ratfun(self._cn**e, self._cd**e, self._v * e, self._w * e, _pow(self._n, e), _pow(self._d, e))
+        return _ratfun(cn**e, cd**e, v * e, w * e, _pow(n, e), _pow(d, e))
 
     def evaluate(self, q0) -> Fraction:
         """Exact evaluation at a rational point; raises ``PoleError`` at a
         zero of the (reduced) denominator."""
         q0 = _as_fraction(q0)
         u, t = q0.numerator, q0.denominator
-        n, d, v, w = self._n, self._d, self._v, self._w
+        cn, cd, v, w, n, d = self._p
         # q0^v (q0 - 1)^w N(q0) / D(q0)
         #   = u^v (u - t)^w nv / (dv t^(v + w + deg N - deg D))
-        nv = self._cn * _homogeneous(n, u, t)
-        dv = self._cd * _homogeneous(d, u, t)
+        nv = cn * _homogeneous(n, u, t)
+        dv = cd * _homogeneous(d, u, t)
         if v > 0:
             nv *= u**v
         elif v < 0:
@@ -666,16 +678,9 @@ class RatFun:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RatFun):
-            return (
-                self._cn == other._cn
-                and self._v == other._v
-                and self._w == other._w
-                and self._cd == other._cd
-                and self._n == other._n
-                and self._d == other._d
-            )
+            return self._p == other._p
         if isinstance(other, (int, Fraction)):
-            return (self._cn, self._cd) == _as_pair(other) and self._is_constant()
+            return self._p[:2] == _as_pair(other) and self._is_constant()
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -683,11 +688,11 @@ class RatFun:
         # that of (Fraction(cn, cd), N, D) for the dense primitive numerator
         # and denominator, since a tuple hash combines the hashes of its
         # items and the hash of a rational is a fixed point
-        h = _pair_hash(self._cn, self._cd)
-        if self._is_constant():
+        cn, cd, v, w, n, d = self._p
+        h = _pair_hash(cn, cd)
+        if not v and not w and len(n) <= 1 and d == _ONE:
             return h
         n, d = self._cores()
-        v = self._v
         # (0,) * v is empty for v <= 0
         return hash((h, (0,) * v + n, (0,) * -v + d))
 
@@ -704,7 +709,7 @@ class RatFun:
         return f"RatFun({self})"
 
 
-_set_cn, _set_cd, _set_v, _set_w, _set_n, _set_d = (RatFun.__dict__[name].__set__ for name in RatFun.__slots__)
+_set_p = RatFun._p.__set__
 
 RF_ZERO = _ratfun(0, 1, 0, 0, (), _ONE)
 RF_ONE = _ratfun(1, 1, 0, 0, _ONE, _ONE)
@@ -807,7 +812,7 @@ class LinComb:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        object.__setattr__(self, "terms", self._sum(terms.items() if terms else ()))
+        _set_terms(self, self._sum(terms.items() if terms else ()))
 
     @staticmethod
     def _key(k):
@@ -826,7 +831,7 @@ class LinComb:
                 c = prev + c
             elif type(c) is not RatFun:
                 c = as_ratfun(c)
-            if c._cn:
+            if c._p[0]:
                 acc[k] = c
             elif prev is not None:
                 del acc[k]
@@ -835,8 +840,8 @@ class LinComb:
     @classmethod
     def _of(cls, terms: dict):
         """Wrap a term map that already has coerced keys and no zeros."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "terms", terms)
+        out = _new(cls)
+        _set_terms(out, terms)
         return out
 
     @classmethod
@@ -874,7 +879,7 @@ class LinComb:
         c = c if type(c) is RatFun else as_ratfun(c)
         if c is RF_ONE:
             return self
-        if not c._cn:
+        if not c._p[0]:
             return self.zero()
         return self._of({k: c * x for k, x in self.terms.items()})
 
@@ -891,3 +896,6 @@ class LinComb:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"
+
+
+_set_terms = LinComb.terms.__set__

@@ -178,7 +178,9 @@ entries e(m), in column m + a, have the ratio e(m+1)/e(m) =
 q^(2k) {m+h+1}_q / {m+1}_q, which falls as m grows.  So they are unimodal
 and peak at the first m where the ratio is at most 1 (an exact integer
 comparison; m = 0 where h = 0 and the last m where k = 0 < h, with no
-search), clamped to the last column inside the truncation, m = N - h - 1.
+search, and m = 0 where the upper bound of q^(2k) below already shows the
+ratio at m = 0, q^(2k) {h+1}_q, to be at most 1), clamped to the last
+column inside the truncation, m = N - h - 1.
 Rounding is monotone, so the one correctly rounded entry there is the
 largest of all N, bit for bit.  It is rounded with no band fill, as one
 ``scaled_root`` of the square that ``_square`` gives for that column,
@@ -199,7 +201,10 @@ each rounding adds as much again, doubled by every later squaring, so the
 bounds of q^e stay within a relative 5e 2^-127 of each other.  Rounding to
 nearest is monotone: where both bounds round to the same double, q^e
 rounds to it too.  Only a power that close to a rounding boundary takes
-the exact power, within ``MAX_RADICAND_BITS``.
+the exact power, within ``MAX_RADICAND_BITS``.  The same upper bound of
+q^(2k) lets ``_peak`` place the peak of a one-term band at column a without
+the exact powers, and a band fill that reads column a alone forms no step,
+so a C-power of any size read there costs no power of q.
 """
 
 from __future__ import annotations
@@ -349,6 +354,10 @@ def _bands(x: Element, q0: Fraction, start: int, stop: int, rows: float = math.i
             continue
         h, top = a + b, max(k for k, _ in parts)
         _check_column(h, top, m1 - 1, v)
+        if m1 == 1:
+            # the steps enter only as their m-th powers, so where column a
+            # is the only one read no power of q is formed, whatever k is
+            parts, top = [(0, c) for _, c in parts], 0
         if len(parts) == 1:
             ((_, c),) = parts
             firsts, steps = _square(c, top, h, u, v)
@@ -402,20 +411,22 @@ def _bands(x: Element, q0: Fraction, start: int, stop: int, rows: float = math.i
         except OverflowError:
             # some square is past the float range: no column counts as
             # normal, so the repair below rounds them all
-            entries = [0.0] * count
-        if min(abs(entries[0]), abs(entries[-1])) <= 2.0**-511:
-            # the end-column repair: the squares below the normal range, at
-            # the ends of the band, or all of them after an overflow, are
-            # rounded again column by column, up to the limit entry, which
-            # the entries of a band without C rise toward on any run of
-            # columns
-            normal = [i for i, e in enumerate(entries) if abs(e) > 2.0**-511]
-            left, right = (normal[0], normal[-1] + 1) if normal else (count, count)
-            for i, j in ((0, left), (right, count)):
-                if i < j:
-                    rads, nums, dens = _column_streams(rad_nums, m0 + 1 - lo + i, a + b, m0 + i, j - i, firsts, steps)
-                    roots = (sign * scaled_root(n * r, d) for n, r, d in zip(nums, rads, dens))
-                    entries[i:j] = _saturate((root if abs(root) >= PURGE_EPS else 0.0 for root in roots), limit, j - i)
+            entries, left, right = [0.0] * count, count, count
+        else:
+            # the columns at or below 2^-511 at each end, read from that end
+            # only as far as they reach
+            below = (2.0**-511).__ge__
+            left = len(list(takewhile(below, map(abs, entries))))
+            right = max(left, count - len(list(takewhile(below, map(abs, reversed(entries))))))
+        # the end-column repair: the squares below the normal range, at the
+        # ends of the band, or all of them after an overflow, are rounded
+        # again column by column, up to the limit entry, which the entries of
+        # a band without C rise toward on any run of columns
+        for i, j in ((0, left), (right, count)):
+            if i < j:
+                rads, nums, dens = _column_streams(rad_nums, m0 + 1 - lo + i, a + b, m0 + i, j - i, firsts, steps)
+                roots = (sign * scaled_root(n * r, d) for n, r, d in zip(nums, rads, dens))
+                entries[i:j] = _saturate((root if abs(root) >= PURGE_EPS else 0.0 for root in roots), limit, j - i)
         yield b, a, m0, entries
 
 
@@ -519,12 +530,22 @@ def _peak(q0: Fraction, k: int, h: int, M: int) -> int:
     the peak is the least m with q^(m+1) (1 - q^(2k+h)) <= 1 - q^(2k), or M
     when there is none; with q0 = u/v that is an integer comparison.  Where
     h = 0 the ratio is q^(2k) <= 1 for every m, so the peak is 0, and where
-    k = 0 < h it is above 1 for every m, so the peak is M: neither bisects."""
+    k = 0 < h it is above 1 for every m, so the peak is M: neither bisects.
+    The test at m = 0 is q^(2k) {h+1}_q <= 1; where it holds on the upper
+    bound of q^(2k) from ``_power_bounds`` the peak is 0, with no exact
+    power of q formed, however large k is."""
     if not h:
         return 0
     if not k:
         return M
     u, v = q0.numerator, q0.denominator
+    # hi 2^x N_(h+1) <= v^h, where {h+1}_q = N_(h+1) / v^h: the bit lengths
+    # decide it where the left side is the smaller by a factor of 2 or more,
+    # and elsewhere -x is at most the bits of the left side
+    _, hi, x = _power_bounds(q0, 2 * k)
+    left, right = hi * next(_qintegers(q0, h + 1)), v**h
+    if left.bit_length() + x < right.bit_length() or left <= right << -x:
+        return 0
     left, right = v ** (2 * k + h) - u ** (2 * k + h), v**h * (v ** (2 * k) - u ** (2 * k))
     return bisect_left(range(M), True, key=lambda m: u ** (m + 1) * left <= v ** (m + 1) * right)
 
@@ -771,10 +792,10 @@ def _scaled_float(m: int, exp: int) -> float:
     return m / (1 << -exp)
 
 
-def _power_float(q0: Fraction, e: int) -> float:
-    """float(q0 ** e) for q0 in (0, 1), correctly rounded from the bounds
-    lo * 2^x <= q0^e <= hi * 2^x, or from the exact power where they round
-    apart (see the module notes)."""
+def _power_bounds(q0: Fraction, e: int) -> tuple:
+    """(lo, hi, x) with lo * 2^x <= q0^e <= hi * 2^x for q0 in (0, 1) and
+    e >= 0, lo and hi of at most ``_POWER_BITS`` bits and x <= 0, by
+    square-and-multiply with directed roundings (see the module notes)."""
     u, v = q0.numerator, q0.denominator
     shift = _POWER_BITS + v.bit_length() - u.bit_length()
     base_lo, base_hi = (u << shift) // v, -(-(u << shift) // v)
@@ -786,10 +807,18 @@ def _power_float(q0: Fraction, e: int) -> float:
             lo, hi, x = lo * base_lo, hi * base_hi, x - shift
         drop = max(hi.bit_length() - _POWER_BITS, 0)
         lo, hi, x = lo >> drop, -(-hi >> drop), x + drop
+    return lo, hi, x
+
+
+def _power_float(q0: Fraction, e: int) -> float:
+    """float(q0 ** e) for q0 in (0, 1), correctly rounded from the bounds of
+    ``_power_bounds``, or from the exact power where they round apart (see
+    the module notes)."""
+    lo, hi, x = _power_bounds(q0, e)
     value = _scaled_float(lo, x)
     if value == _scaled_float(hi, x):
         return value
-    bits = e * v.bit_length()
+    bits = e * q0.denominator.bit_length()
     if bits > MAX_RADICAND_BITS:
         raise ValueError(f"q^{e} needs an exact power of about {bits} bits, over MAX_RADICAND_BITS = {MAX_RADICAND_BITS}")
     return float(q0**e)

@@ -359,6 +359,26 @@ def test_entries_whose_square_overflows_a_float(capsys):
     assert capsys.readouterr().out.startswith("3: 5.489")
 
 
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        # column 0 of a C-power reads no power of q: no step q^(2k) of the
+        # band fill, and no exact q^(2k) for the peak, which is column 0
+        (["apply", "C^10000000", "--q", "99/100", "--n", "0"], "0: 1.0\n"),
+        (["norm", "3*C^10000000*A", "--q", "99/100", "--dim", "10"], "3.0\n"),
+        # a band of two terms, whose steps u^k v^(K - k) are not formed either
+        (["apply", "C^10000000*A + 2*C^3*A", "--q", "99/100", "--n", "1"], "0: 3.0\n"),
+    ],
+    ids=["apply", "norm", "apply-two-terms"],
+)
+def test_hostile_c_powers_read_at_column_0(capsys, argv, out):
+    start = time.perf_counter()
+    assert main(argv) == 0
+    elapsed = time.perf_counter() - start
+    assert capsys.readouterr().out == out
+    assert elapsed < 2.0
+
+
 def _timed_norm(capsys, argv, bound):
     start = time.perf_counter()
     code = main(["norm", *argv])

@@ -251,6 +251,67 @@ def test_values_survive_pickle_and_copy(value, copier):
     assert str(back) == str(value)
 
 
+def test_parts_are_one_slot_that_cannot_be_rebound_or_deleted():
+    x = RatFun(QPolynomial((1, 2)), QPolynomial((3, 0, 1)))
+    parts = x._p
+    assert type(parts) is tuple
+    assert parts == (x._cn, x._cd, x._v, x._w, x._n, x._d)
+    for name in ("_p", "_cn", "_n"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, parts)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert x._p is parts
+
+
+def test_a_value_never_equals_the_tuple_of_its_parts():
+    import json
+
+    from qheis.expr import json_default, ratfun_json
+
+    for x in (ONE, RatFun.zero(), RF_Q, over_one_minus_q([1, 2], -1, 2)):
+        assert x != x._p and x._p != x
+        assert not x == x._p and not x._p == x
+        assert len({x, x._p}) == 2
+        assert json.loads(json.dumps(x, default=json_default)) == ratfun_json(x)
+
+
+def test_equality_and_hash_agree_exactly_with_the_parts():
+    rng = random.Random(35)
+    values = []
+    for _ in range(40):
+        num, den = random_qpoly_pair(rng)
+        x = RatFun(num, den)
+        y = over_one_minus_q([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))], rng.randint(-2, 2), rng.randint(-2, 2))
+        # the same values by other routes: the parts of the reduced fraction,
+        # products, sums and quotients
+        values += [x, y, RatFun(x.num, x.den), x * y, y * x, x + y, y + x, (x * y) / y if y._cn else x, x + y - y]
+    values += [qbracket(2), RF_Q + 1, over_one_minus_q([1, 1], 0, 0), RatFun(QPolynomial((1, 1)))]
+    equal_pairs = 0
+    for x in values:
+        for y in values:
+            same = x._p == y._p
+            assert (x == y) is same
+            if same:
+                assert hash(x) == hash(y)
+                equal_pairs += x is not y
+    assert equal_pairs > len(values)
+
+
+def test_a_constant_hashes_as_its_fraction():
+    for c in (Fraction(0), Fraction(1), Fraction(-7, 3), Fraction(2**200 + 1, 3), Fraction(1, 2**61 - 1), Fraction(-5, 3 * (2**61 - 1))):
+        for x in (RatFun.from_fraction(c), RatFun(QPolynomial((c,))), (RF_Q + c) - RF_Q, RF_Q * c / RF_Q):
+            assert x == c and hash(x) == hash(c)
+
+
+@pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS.keys())
+def test_copies_keep_the_parts(copier):
+    for value in (*PICKLE_VALUES[:2], RatFun.zero(), ONE, over_one_minus_q([2, 0, -1], 3, -4)):
+        back = copier(value)
+        assert type(back._p) is tuple
+        assert back._p == value._p
+
+
 def test_arithmetic_matches_sympy_cancel():
     sympy = pytest.importorskip("sympy")
     qs = sympy.Symbol("q")
