@@ -146,8 +146,10 @@ at most |c| q^(km) (1-q)^(-h/2), and |c| is at most the entry of column a,
 so two logarithms give an m past which it is below tau.  The head is the
 first H columns, H past a + 1, past each band's peak and that m by one
 column, and by b - a - s more where that band's rows lie below those of the
-live one.  It is filled, rows below H + s only; top is read from it at the
-peaks of the bands with C and from one column of the live band, and it is
+live one.  It is filled, rows below H + s only.  Its largest entry and the
+live band's largest give top, as the whole fill gives it: the head holds
+the peak column of each band with C, and the live band peaks in its last
+column inside, which ``_head`` reads alone.  The head is then
 checked exactly: the live band keeps its entry in column H - 1, so in every
 later one, and each other band keeps none in the last column it fills, so
 in none after it.  Then no kept entry of the head lies at or below row
@@ -176,11 +178,19 @@ what the verification tolerances rely on.
 One term c B^b C^k A^a needs one entry: with h = a + b, its squared
 entries e(m), in column m + a, have the ratio e(m+1)/e(m) =
 q^(2k) {m+h+1}_q / {m+1}_q, which falls as m grows.  So they are unimodal
-and peak at the first m where the ratio is at most 1 (an exact integer
-comparison; m = 0 where h = 0 and the last m where k = 0 < h, with no
-search, and m = 0 where the upper bound of q^(2k) below already shows the
-ratio at m = 0, q^(2k) {h+1}_q, to be at most 1), clamped to the last
-column inside the truncation, m = N - h - 1.
+and peak at the first m where the ratio is at most 1, clamped to the last
+column inside the truncation, m = N - h - 1: m = 0 where h = 0 and the last
+m where k = 0 < h, with no search, and elsewhere the least m with
+q^(2k) (v^(m+h+1) - u^(m+h+1)) <= v^h (v^(m+1) - u^(m+1)), found by a probe
+of m = 0 and then a bisection.  Every probe is decided on the directed
+bounds of q^(2k) below, formed once per call: the inequality holds where
+it holds at the upper bound and fails where it fails at the lower one, and
+each probe multiplies u^(m+1) and v^(m+1) by constants of about
+``_POWER_BITS`` + h bit_length(v) bits, whatever k is.  Only where the
+bounds straddle it is a probe decided on the exact power q^(2k), within
+the budget of ``_exact_power``.  The two sides are never equal (v divides
+one of them and not the other), so a straddle needs them within the
+bounds' relative width of each other; the peak tests meet none at 128 bits.
 Rounding is monotone, so the one correctly rounded entry there is the
 largest of all N, bit for bit.  It is rounded with no band fill, as one
 ``scaled_root`` of the square that ``_square`` gives for that column,
@@ -201,16 +211,20 @@ each rounding adds as much again, doubled by every later squaring, so the
 bounds of q^e stay within a relative 5e 2^-127 of each other.  Rounding to
 nearest is monotone: where both bounds round to the same double, q^e
 rounds to it too.  Only a power that close to a rounding boundary takes
-the exact power, within ``MAX_RADICAND_BITS``.  The same upper bound of
-q^(2k) lets ``_peak`` place the peak of a one-term band at column a without
-the exact powers, and a band fill that reads column a alone forms no step,
-so a C-power of any size read there costs no power of q.
+the exact power, from ``_exact_power``, which charges its e bit_length(v)
+bits against ``MAX_RADICAND_BITS`` before it forms them: every exact power
+of q that no column check covers is formed there.  The bounds of q^(2k)
+decide the probes of ``_peak`` the same way, so the peak of a one-term band
+is placed with no exact power however large k is, and its column is then
+checked like any column of the fill (``norm C^3000000*A`` at q =
+9999999/10000000 is refused at its peak column m = 1 at once).  A band fill
+that reads column a alone forms no step, so a C-power of any size read
+there costs no power of q.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, islice, repeat, takewhile, tee
@@ -237,10 +251,11 @@ MAX_DIM = 2000
 #: band fill: column m + a of a band B^b C^k A^a (h = a + b, K the largest k
 #: among its terms) multiplies out a radicand of h q-integers, and its running
 #: numerators and denominator, squared, grow by 2 K bit_length(v) bits a column;
-#: it also bounds the e bit_length(v) bits of the exact power q^e that
-#: ``_power_float`` falls back to
+#: it also bounds the e bit_length(v) bits of each exact power q^e that
+#: ``_exact_power`` forms where the bounds of q^e do not decide
 MAX_RADICAND_BITS = 2_000_000
-#: bits of the bounds from which ``_power_float`` rounds a power of q
+#: bits of the bounds of a power of q, from which ``_power_float`` rounds it
+#: and on which ``_peak`` decides its probes
 _POWER_BITS = 128
 #: an entry of a truncation of several bands is dropped where it splits a
 #: residue-class block when it is at most this times its largest entry over
@@ -493,9 +508,7 @@ class TruncatedMatrix:
         self.data = data
 
     def max_abs(self) -> float:
-        import numpy as np
-
-        return float(np.max(np.abs(self.data))) if self.dim else 0.0
+        return float(abs(self.data).max())
 
 
 def matrix(x: Element, q0, N: int) -> TruncatedMatrix:
@@ -527,27 +540,34 @@ def _peak(q0: Fraction, k: int, h: int, M: int) -> int:
     """The m in [0, M] where the squared entries e(m) = c^2 q^(2km)
     {m+1}_q ... {m+h}_q of a one-term band B^b C^k A^a, h = a + b, peak.
     The ratio e(m+1)/e(m) = q^(2k) {m+h+1}_q / {m+1}_q falls as m grows, so
-    the peak is the least m with q^(m+1) (1 - q^(2k+h)) <= 1 - q^(2k), or M
-    when there is none; with q0 = u/v that is an integer comparison.  Where
+    with q0 = u/v the peak is the least m with q^(2k) (v^(m+h+1) - u^(m+h+1))
+    <= v^h (v^(m+1) - u^(m+1)), or M when there is none.  The probes, m = 0
+    first and then a bisection, are decided on the bounds lo 2^x <= q^(2k)
+    <= hi 2^x that ``_power_bounds`` gives once, and on the exact power from
+    ``_exact_power`` only where those bounds straddle the inequality.  Where
     h = 0 the ratio is q^(2k) <= 1 for every m, so the peak is 0, and where
-    k = 0 < h it is above 1 for every m, so the peak is M: neither bisects.
-    The test at m = 0 is q^(2k) {h+1}_q <= 1; where it holds on the upper
-    bound of q^(2k) from ``_power_bounds`` the peak is 0, with no exact
-    power of q formed, however large k is."""
+    k = 0 < h it is above 1 for every m, so the peak is M: neither probes."""
     if not h:
         return 0
     if not k:
         return M
     u, v = q0.numerator, q0.denominator
-    # hi 2^x N_(h+1) <= v^h, where {h+1}_q = N_(h+1) / v^h: the bit lengths
-    # decide it where the left side is the smaller by a factor of 2 or more,
-    # and elsewhere -x is at most the bits of the left side
-    _, hi, x = _power_bounds(q0, 2 * k)
-    left, right = hi * next(_qintegers(q0, h + 1)), v**h
-    if left.bit_length() + x < right.bit_length() or left <= right << -x:
-        return 0
-    left, right = v ** (2 * k + h) - u ** (2 * k + h), v**h * (v ** (2 * k) - u ** (2 * k))
-    return bisect_left(range(M), True, key=lambda m: u ** (m + 1) * left <= v ** (m + 1) * right)
+    # at q^(2k) = n/d the probe of m is U (v^h d - n u^h) <= V v^h (d - n),
+    # with U = u^(m+1) and V = v^(m+1): it holds where it holds at the upper
+    # bound of q^(2k), and fails where it fails at the lower bound
+    lo, hi, x = _power_bounds(q0, 2 * k)
+    vh, uh, d = v**h, u**h, 1 << -x
+    s, t, s_lo, t_lo = vh * d - hi * uh, vh * (d - hi), vh * d - lo * uh, vh * (d - lo)
+    # the peak lies in [first, last]
+    first, last = 0, M
+    while first < last:
+        m = (first + last) // 2 if first else 0
+        U, V = u ** (m + 1), v ** (m + 1)
+        if not (holds := U * s <= V * t) and U * s_lo <= V * t_lo:
+            n, e = _exact_power(q0, 2 * k)
+            holds = U * (vh * e - n * uh) <= V * vh * (e - n)
+        first, last = (first, m) if holds else (m + 1, last)
+    return first
 
 
 def _largest_entry(x: Element, q0: Fraction, N: int) -> float:
@@ -574,13 +594,12 @@ def _largest_entry(x: Element, q0: Fraction, N: int) -> float:
     return max((abs(v) for *_, entries in _bands(x, q0, 0, N, N) for v in entries), default=0.0)
 
 
-def _head(x: Element, q0: Fraction, N: int, g: int):
-    """(data, tau, tail) where past a head of H columns the truncation of x
-    keeps entries of its one band without C only, each a piece of its own:
-    data holds the head columns and the rows below H + s, with s the offset
-    of that band, tau is the cut and tail that band's largest entry; None
-    where there is no such head (see the module notes)."""
-    bands = len({bw.b - bw.a for bw in x.terms})
+def _head(x: Element, q0: Fraction, N: int, g: int, bands: int):
+    """(data, tail) where past a head of H columns the truncation of x, of
+    ``bands`` bands, keeps entries of its one band without C only, each a
+    piece of its own: data holds the head columns and the rows below H + s,
+    with s the offset of that band, and tail is that band's largest entry;
+    None where there is no such head (see the module notes)."""
     if len(x.terms) > bands:
         return None
     # every term that meets a column is evaluated before any band is filled,
@@ -623,7 +642,7 @@ def _head(x: Element, q0: Fraction, N: int, g: int):
         return None
     if any(abs(data[H - 1 - lift + bw.b - bw.a, H - 1 - lift]) > tau for bw, _, lift in compact):
         return None
-    return data, tau, tail
+    return data, tail
 
 
 def op_norm(x: Element, q0, N: int) -> float:
@@ -649,12 +668,14 @@ def op_norm(x: Element, q0, N: int) -> float:
     # residue classes r of the columns split the truncation into blocks
     s0 = min(offsets)
     g = math.gcd(*(s - s0 for s in offsets))
-    data, tau, norm = _head(x, q0.value, N, g) or (matrix(x, q0, N).data, None, 0.0)
+    data, norm = _head(x, q0.value, N, g, len(offsets)) or (matrix(x, q0, N).data, 0.0)
     # band s holds the entry of row j + s in column j, for j in [max(-s, 0), ...)
     diagonals = [(s, max(-s, 0), np.abs(np.diagonal(data, -s))) for s in sorted(offsets)]
-    if tau is None:
-        top = max((float(d.max()) for *_, d in diagonals if d.size), default=0.0)
-        tau = _DROP * top / len(offsets)
+    # top is the largest entry of the truncation: a head holds the peak
+    # column of each band with C, and norm is then the live band's largest
+    # entry (0.0 after a whole fill)
+    top = max([norm, *(float(d.max()) for *_, d in diagonals if d.size)])
+    tau = _DROP * top / len(offsets)
     # the first and last kept row of each column (past the last row and -1
     # where it keeps none; the offsets ascend, so the last store is the last
     # row), its count of kept entries and its largest kept entry
@@ -671,8 +692,6 @@ def op_norm(x: Element, q0, N: int) -> float:
     for r in range(min(g, width)):
         r0 = (r + s0) % g
         blk, counts = data[r0::g, r::g], count[r::g]
-        if not blk.size or not counts.any():
-            continue
         # a cut before block column p, where p keeps an entry, an earlier
         # column does too, and every row kept before p lies above every row
         # kept from p on; the rows split at the first of the latter
@@ -784,14 +803,6 @@ class SpectrumFacts(
     __slots__ = ()
 
 
-def _scaled_float(m: int, exp: int) -> float:
-    """m * 2^exp for exp <= 0, correctly rounded: 0.0 when it lies below
-    2^-1075, else one int/int true division by at most 2^(1075 + bl(m))."""
-    if m.bit_length() + exp <= -1075:
-        return 0.0
-    return m / (1 << -exp)
-
-
 def _power_bounds(q0: Fraction, e: int) -> tuple:
     """(lo, hi, x) with lo * 2^x <= q0^e <= hi * 2^x for q0 in (0, 1) and
     e >= 0, lo and hi of at most ``_POWER_BITS`` bits and x <= 0, by
@@ -810,18 +821,29 @@ def _power_bounds(q0: Fraction, e: int) -> tuple:
     return lo, hi, x
 
 
-def _power_float(q0: Fraction, e: int) -> float:
-    """float(q0 ** e) for q0 in (0, 1), correctly rounded from the bounds of
-    ``_power_bounds``, or from the exact power where they round apart (see
-    the module notes)."""
-    lo, hi, x = _power_bounds(q0, e)
-    value = _scaled_float(lo, x)
-    if value == _scaled_float(hi, x):
-        return value
+def _exact_power(q0: Fraction, e: int) -> tuple:
+    """(u^e, v^e) for q0 = u/v: the exact power q0^e, refused where v^e
+    would take more than ``MAX_RADICAND_BITS`` bits, before it is formed."""
     bits = e * q0.denominator.bit_length()
     if bits > MAX_RADICAND_BITS:
         raise ValueError(f"q^{e} needs an exact power of about {bits} bits, over MAX_RADICAND_BITS = {MAX_RADICAND_BITS}")
-    return float(q0**e)
+    return q0.numerator**e, q0.denominator**e
+
+
+def _power_float(q0: Fraction, e: int) -> float:
+    """float(q0 ** e) for q0 in (0, 1), correctly rounded from the bounds of
+    ``_power_bounds``, or from ``_exact_power`` where they round apart (see
+    the module notes)."""
+    lo, hi, x = _power_bounds(q0, e)
+    # q^e <= hi 2^x below 2^-1075 rounds to 0.0, with no shift formed;
+    # elsewhere each bound is one int/int true division by at most
+    # 2^(1075 + _POWER_BITS), correctly rounded
+    if hi.bit_length() + x <= -1075:
+        return 0.0
+    value = lo / (1 << -x)
+    if value == hi / (1 << -x):
+        return value
+    return truediv(*_exact_power(q0, e))
 
 
 #: the point, approximate point and compression spectrum of each shift

@@ -1129,6 +1129,56 @@ def test_power_float_falls_back_to_the_exact_power(monkeypatch):
     assert 0 < refused < len(cases)
 
 
+def _peak_oracle(q: Fraction, k: int, h: int, M: int) -> int:
+    """The first m in [0, M] where the exact square q^(2km) {m+1}_q ...
+    {m+h}_q of a one-term band B^b C^k A^a, h = a + b, is largest."""
+    squares = [q ** (2 * k * m) * math.prod((1 - q ** (m + i)) / (1 - q) for i in range(1, h + 1)) for m in range(M + 1)]
+    return squares.index(max(squares))
+
+
+def _peak_cases() -> list:
+    """Seeded (q, k, h, M): k up to 40 and a few in the thousands, with
+    M = 0 and M = 1 among the lengths.  At q = 9/10 and 99/100 the peaks
+    of small k lie past column a; at q = 10^-30, whose exact powers take
+    100 bits per step, the lengths stay short."""
+    rng = random.Random(2103)
+    cases = []
+    for q in ORACLE_QS + (Fraction(9, 10), NEAR_ONE, Fraction(1, 10**30)):
+        longest = 60 if q.denominator < 1000 else 6
+        for h in (1, 2, 3, 8, 20):
+            for k in (1, 2, rng.randint(3, 40), 40):
+                cases.extend((q, k, h, M) for M in (0, 1, rng.randint(2, 2 + longest // 6), rng.randint(2, longest)))
+            cases.extend((q, k, h, rng.randint(0, longest // 10)) for k in (1000, rng.randint(1001, 5000)))
+    return cases
+
+
+def test_peak_is_the_first_largest_exact_square():
+    for q, k, h, M in _peak_cases():
+        assert spectral._peak(q, k, h, M) == _peak_oracle(q, k, h, M), (q, k, h, M)
+    # no peak where h = 0 lies past column a, and none where k = 0 < h before the last
+    for q in ORACLE_QS:
+        assert spectral._peak(q, 5, 0, 30) == _peak_oracle(q, 5, 0, 30) == 0
+        assert spectral._peak(q, 0, 3, 30) == _peak_oracle(q, 0, 3, 30) == 30
+
+
+def test_peak_falls_back_to_the_exact_power(monkeypatch):
+    # with 8-bit bounds of q^(2k) many probes straddle, and the exact power
+    # decides them; with no bits allowed for it they are refused
+    cases = [(q, k, h, M) for q, k, h, M in _peak_cases() if k <= 40]
+    peaks = [spectral._peak(*case) for case in cases]
+    monkeypatch.setattr(spectral, "_POWER_BITS", 8)
+    assert [spectral._peak(*case) for case in cases] == peaks
+    monkeypatch.setattr(spectral, "MAX_RADICAND_BITS", 0)
+    refused = 0
+    for case, peak in zip(cases, peaks):
+        try:
+            assert spectral._peak(*case) == peak, case
+        except ValueError as err:
+            assert "MAX_RADICAND_BITS" in str(err)
+            refused += 1
+    assert 0 < refused < len(cases)
+
+
 def test_compact_decay_reports():
     r = compact_decay_report(C, HALF, 40)
     assert r.verdict == "consistent-with-compact"
