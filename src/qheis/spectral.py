@@ -183,14 +183,19 @@ column inside the truncation, m = N - h - 1: m = 0 where h = 0 and the last
 m where k = 0 < h, with no search, and elsewhere the least m with
 q^(2k) (v^(m+h+1) - u^(m+h+1)) <= v^h (v^(m+1) - u^(m+1)), found by a probe
 of m = 0 and then a bisection.  Every probe is decided on the directed
-bounds of q^(2k) below, formed once per call: the inequality holds where
-it holds at the upper bound and fails where it fails at the lower one, and
-each probe multiplies u^(m+1) and v^(m+1) by constants of about
-``_POWER_BITS`` + h bit_length(v) bits, whatever k is.  Only where the
-bounds straddle it is a probe decided on the exact power q^(2k), within
-the budget of ``_exact_power``.  The two sides are never equal (v divides
-one of them and not the other), so a straddle needs them within the
-bounds' relative width of each other; the peak tests meet none at 128 bits.
+bounds lo 2^x <= q^(2k) <= hi 2^x below, formed once per call: the
+inequality holds where it holds at the upper bound and fails where it
+fails at the lower one.  Where hi 2^x (h + 1) < 1, which bit lengths show,
+the probe of m = 0 holds, since {h+1}_q <= h + 1, and the peak is 0 with
+no shift 2^-x formed, however small q^(2k) is; elsewhere 2^-x has at most
+the bits of hi (h + 1), so each probe multiplies u^(m+1) and v^(m+1) by
+constants of about ``_POWER_BITS`` + h bit_length(v) bits, whatever k is.
+Only where the bounds straddle it is a probe decided on the exact power
+q^(2k), formed once, within the budget of ``_exact_power``, and its exact
+constants then decide the later probes.  The two sides are never equal
+(v divides one of them and not the other), so a straddle needs them within
+the bounds' relative width of each other; the peak tests meet none at 128
+bits.
 Rounding is monotone, so the one correctly rounded entry there is the
 largest of all N, bit for bit.  It is rounded with no band fill, as one
 ``scaled_root`` of the square that ``_square`` gives for that column,
@@ -543,8 +548,10 @@ def _peak(q0: Fraction, k: int, h: int, M: int) -> int:
     with q0 = u/v the peak is the least m with q^(2k) (v^(m+h+1) - u^(m+h+1))
     <= v^h (v^(m+1) - u^(m+1)), or M when there is none.  The probes, m = 0
     first and then a bisection, are decided on the bounds lo 2^x <= q^(2k)
-    <= hi 2^x that ``_power_bounds`` gives once, and on the exact power from
-    ``_exact_power`` only where those bounds straddle the inequality.  Where
+    <= hi 2^x that ``_power_bounds`` gives once, first by bit lengths at
+    m = 0 where hi 2^x (h + 1) < 1, and on the exact power from
+    ``_exact_power``, formed once, only where those bounds straddle the
+    inequality.  Where
     h = 0 the ratio is q^(2k) <= 1 for every m, so the peak is 0, and where
     k = 0 < h it is above 1 for every m, so the peak is M: neither probes."""
     if not h:
@@ -552,10 +559,15 @@ def _peak(q0: Fraction, k: int, h: int, M: int) -> int:
     if not k:
         return M
     u, v = q0.numerator, q0.denominator
+    lo, hi, x = _power_bounds(q0, 2 * k)
+    # the probe of m = 0 holds where q^(2k) {h+1}_q <= hi 2^x (h + 1) < 1;
+    # elsewhere -x is at most the bits of hi (h + 1), so d below is small
+    if hi.bit_length() + (h + 1).bit_length() + x <= 0:
+        return 0
     # at q^(2k) = n/d the probe of m is U (v^h d - n u^h) <= V v^h (d - n),
     # with U = u^(m+1) and V = v^(m+1): it holds where it holds at the upper
-    # bound of q^(2k), and fails where it fails at the lower bound
-    lo, hi, x = _power_bounds(q0, 2 * k)
+    # bound of q^(2k), and fails where it fails at the lower bound; where
+    # they straddle it, both give way to the exact q^(2k), formed once
     vh, uh, d = v**h, u**h, 1 << -x
     s, t, s_lo, t_lo = vh * d - hi * uh, vh * (d - hi), vh * d - lo * uh, vh * (d - lo)
     # the peak lies in [first, last]
@@ -565,7 +577,8 @@ def _peak(q0: Fraction, k: int, h: int, M: int) -> int:
         U, V = u ** (m + 1), v ** (m + 1)
         if not (holds := U * s <= V * t) and U * s_lo <= V * t_lo:
             n, e = _exact_power(q0, 2 * k)
-            holds = U * (vh * e - n * uh) <= V * vh * (e - n)
+            s, t = s_lo, t_lo = vh * e - n * uh, vh * (e - n)
+            holds = U * s <= V * t
         first, last = (first, m) if holds else (m + 1, last)
     return first
 
@@ -767,10 +780,7 @@ def coherent_vector(c, q0, N: int) -> CoherentWitness:
         raise ValueError(f"eigenvalue must be finite, got {c}")
     alphas = weights(q0, N).values
     radius = 1.0 / math.sqrt(1.0 - float(q0))
-    v = [0j] * N
-    v[0] = 1.0 + 0j
-    for n in range(N - 1):
-        v[n + 1] = c * v[n] / alphas[n]
+    v = list(accumulate(alphas[: N - 1], lambda z, alpha: c * z / alpha, initial=1.0 + 0j))
     # abs() of a complex past the float range, and float **, raise
     # OverflowError where other float arithmetic gives inf or nan
     try:

@@ -431,21 +431,25 @@ def test_norm_skips_a_band_outside_the_truncation(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, bits",
     [
-        ["apply", "B^5000", "--n", "3", "--q", "1/2"],
-        ["apply", "B^1000", "--n", "3", "--q", "1/100"],
+        (["apply", "B^5000", "--n", "3", "--q", "1/2"], None),
+        (["apply", "B^1000", "--n", "3", "--q", "1/100"], None),
         # the running numerators and denominator of a C-power count too
-        ["apply", "C^20000", "--n", "20000", "--q", "1/2"],
-        ["apply", "C", "--n", "1000000", "--q", "1/2"],
+        (["apply", "C^20000", "--n", "20000", "--q", "1/2"], None),
+        (["apply", "C", "--n", "1000000", "--q", "1/2"], None),
         # a C-power near q = 1: the peak of its band is placed on the bounds
-        # of q^(2k), with no exact power, before its column is checked
-        ["norm", "C^3000000*A", "--q", "9999999/10000000", "--dim", "10"],
-        ["norm", "C^300000*A+B", "--q", "9999999/10000000", "--dim", "10"],
+        # of q^(2k), with no exact power, before its column is checked.
+        # C^3000000*A peaks in column m = 1 (q^(2k) is about 0.55, so the
+        # ratio q^(2k) {3}_q / {2}_q is below 1 there), and C^300000*A+B has
+        # no head inside dim 10, so the whole fill refuses the last column of
+        # its C band, m = 8: (h (m + h) + 2 k m) bit_length(10^7) bits each
+        (["norm", "C^3000000*A", "--q", "9999999/10000000", "--dim", "10"], 144000048),
+        (["norm", "C^300000*A+B", "--q", "9999999/10000000", "--dim", "10"], 115200216),
     ],
     ids=["B^5000", "B^1000", "C^20000", "C", "C^3000000*A", "C^300000*A+B"],
 )
-def test_column_radicand_over_its_budget_is_refused(capsys, argv):
+def test_column_radicand_over_its_budget_is_refused(capsys, argv, bits):
     start = time.perf_counter()
     code = main(argv)
     elapsed = time.perf_counter() - start
@@ -454,21 +458,14 @@ def test_column_radicand_over_its_budget_is_refused(capsys, argv):
     assert err.out == ""
     assert "MAX_RADICAND_BITS" in err.err
     assert elapsed < 2.0
+    if bits is not None:
+        assert err.err == f"error: a column of up to {bits} bits exceeds MAX_RADICAND_BITS = 2000000\n"
 
 
-@pytest.mark.parametrize(
-    "text, bits",
-    # C^3000000*A peaks in column m = 1 (q^(2k) is about 0.55, so the ratio
-    # q^(2k) {3}_q / {2}_q is below 1 there), and C^300000*A+B has no head
-    # inside dim 10, so the whole fill refuses the last column of its C band,
-    # m = 8: (h (m + h) + 2 k m) bit_length(10^7) bits each
-    [("C^3000000*A", 144000048), ("C^300000*A+B", 115200216)],
-    ids=["C^3000000*A", "C^300000*A+B"],
-)
-def test_c_power_near_one_names_its_refused_column(capsys, text, bits):
-    assert main(["norm", text, "--q", "9999999/10000000", "--dim", "10"]) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: a column of up to {bits} bits exceeds MAX_RADICAND_BITS = 2000000\n"
+def test_norm_of_a_huge_c_power_at_a_tiny_q(capsys):
+    # q^(2k) is about 2^-(2 10^7 log2(10^30)): its bounds alone put the peak
+    # at column 0, where a shift of that many bits would take gigabytes
+    assert _timed_norm(capsys, ["C^10000000*A", "--q", "1/1" + "0" * 30, "--dim", "10"], 2.0) == 1.0
 
 
 @pytest.mark.parametrize("q", ["1/2", "9999/10000"])
