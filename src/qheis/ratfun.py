@@ -46,6 +46,18 @@ Powers need no gcd.  The gcd is a primitive polynomial remainder sequence
 over the integers (Collins 1967; Brown & Traub 1971); ``QPolynomial.gcd``
 strips q and q - 1 first, as sums do, and runs it on what is left.
 
+The q-integer {n}_q = 1 + q + ... + q^(n-1), the tuple of n ones, is the
+core that the deformed relations make most often (every step of a bracket
+chain multiplies by one), and the three kernels read it off its length.  A
+product a {n}_q is the sums of n consecutive coefficients of a, each the
+difference of two entries of one prefix sum (``accumulate``), so it costs
+O(len a + n) steps at C level rather than len a * n multiply-adds.  Since
+q^m - 1 and q^n - 1 are products of cyclotomic polynomials, gcd({m}_q,
+{n}_q) = {gcd(m, n)}_q, and {m}_q / {g}_q = 1 + q^g + q^(2g) + ... +
+q^(m-g) where g divides m; a gcd or quotient of equal operands is read off
+at once.  None of these takes a remainder sequence.  Each result tuple is
+built from a list, whose exact length the tuple takes over.
+
 ``Fraction`` appears only at the boundary, where values enter or leave as
 rational numbers: the coefficients of ``QPolynomial`` (so ``num``, ``den``
 and polynomial input), the value of ``evaluate``, and ``==`` against a
@@ -61,6 +73,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import frexp, gcd, lcm, ldexp, sqrt
+from operator import sub
 from sys import float_info, hash_info
 
 
@@ -148,6 +161,14 @@ def _mul(a: tuple, b: tuple) -> tuple:
         return b
     if b == _ONE:
         return a
+    if a.count(1) == len(a):
+        a, b = b, a
+    n = len(b)
+    if b.count(1) == n:
+        # a times the q-integer {n}_q: the sums of n consecutive coefficients
+        # of a, each the difference of two of its prefix sums
+        s = [*accumulate(a + (0,) * (n - 1))]
+        return tuple([*map(sub, s, [0] * n + s[: len(a) - 1])])
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -199,6 +220,14 @@ def _divexact(a: tuple, b: tuple) -> tuple:
     quotient has integer coefficients, so every step divides exactly."""
     if b == _ONE:
         return a
+    if a == b:
+        return _ONE
+    n = len(b)
+    if b.count(1) == n and a.count(1) == len(a):
+        # {m}_q / {n}_q = 1 + q^n + q^(2n) + ... + q^(m - n), where n | m
+        out = [0] * (len(a) - n + 1)
+        out[::n] = [1] * (len(a) // n)
+        return tuple(out)
     rem = list(a)
     db = len(b) - 1
     lead = b[-1]
@@ -241,8 +270,13 @@ def _prem(a: tuple, b: tuple) -> tuple:
 def _gcd(a: tuple, b: tuple) -> tuple:
     """Primitive gcd, with positive leading coefficient, of two nonzero
     primitive polynomials with positive leading coefficients."""
+    if a == b:
+        return a
     if a == _ONE or b == _ONE:
         return _ONE
+    if a.count(1) == len(a) and b.count(1) == len(b):
+        # gcd(q^m - 1, q^n - 1) = q^gcd(m, n) - 1
+        return (1,) * gcd(len(a), len(b))
     if len(a) < len(b):
         a, b = b, a
     # a primitive remainder sequence; a primitive constant is (1,)

@@ -97,7 +97,10 @@ weights (Shields 1974) is largest at the last window inside the truncation,
 alpha_(N-1-k) ... alpha_(N-2), and smallest at the first, alpha_0 ...
 alpha_(k-1).  So each estimate is a running sum of log weights, from
 alpha_(N-2) down for the radius and from alpha_0 up for the lower index,
-with no search over the windows.  The radius estimate converges to
+with no search over the windows.  The radius window starts at lo = N -
+kmax, whose powers u^lo and v^lo are charged to ``MAX_RADICAND_BITS``
+through ``_exact_power`` before they are formed, so a q with a denominator
+of thousands of digits is refused at once.  The radius estimate converges to
 (1-q)^(-1/2) from below; the lower-index estimate equals (1-q)^(-1/2) *
 prod_{i<k} (1-q^(i+1))^(1/2k), so its error decays like O(1/k).  That slow
 rate is inherent to the formula, not a defect; the matching tolerance at
@@ -298,10 +301,11 @@ class NumericQ(namedtuple("NumericQ", "value")):
 def _qintegers(q0: Fraction, lo: int):
     """Numerators N_lo, N_(lo+1), ... of the exact q-integers, for lo >= 1:
     {m}_q = N_m / v^(m-1) with q0 = u/v.  N_m = (v^m - u^m)/(v - u) obeys
-    N_(m+1) = v N_m + u^m, so no entry needs a power or a gcd of its own."""
+    N_(m+1) = v N_m + u^m, so no entry needs a power or a gcd of its own;
+    u^lo and v^lo come from ``_exact_power``, within its budget."""
     u, v = q0.numerator, q0.denominator
-    u_power = u**lo
-    num = (v**lo - u_power) // (v - u)
+    u_power, v_power = _exact_power(q0, lo)
+    num = (v_power - u_power) // (v - u)
     while True:
         yield num
         num = v * num + u_power
@@ -323,12 +327,13 @@ def _rounded_qintegers(q0: Fraction, lo: int, count: int) -> tuple:
     u, v = q0.numerator, q0.denominator
     limit = v / (v - u)
     head = []
-    d = v ** (lo - 1)
+    d = 0
     for n in islice(_qintegers(q0, lo), count):
+        # v^(lo - 1) is formed once ``_qintegers`` has charged v^lo
+        d = d * v if d else v ** (lo - 1)
         if (r := n / d) == limit:
             break
         head.append(r)
-        d *= v
     return head, limit
 
 

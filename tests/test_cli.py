@@ -430,8 +430,12 @@ def test_norm_skips_a_band_outside_the_truncation(capsys):
     assert _timed_norm(capsys, ["C+B^1200", "--q", "1/100", "--dim", "20"], 2.0) == 1.0
 
 
+def _column_refusal(bits: int) -> str:
+    return f"error: a column of up to {bits} bits exceeds MAX_RADICAND_BITS = 2000000\n"
+
+
 @pytest.mark.parametrize(
-    "argv, bits",
+    "argv, message",
     [
         (["apply", "B^5000", "--n", "3", "--q", "1/2"], None),
         (["apply", "B^1000", "--n", "3", "--q", "1/100"], None),
@@ -444,12 +448,18 @@ def test_norm_skips_a_band_outside_the_truncation(capsys):
         # ratio q^(2k) {3}_q / {2}_q is below 1 there), and C^300000*A+B has
         # no head inside dim 10, so the whole fill refuses the last column of
         # its C band, m = 8: (h (m + h) + 2 k m) bit_length(10^7) bits each
-        (["norm", "C^3000000*A", "--q", "9999999/10000000", "--dim", "10"], 144000048),
-        (["norm", "C^300000*A+B", "--q", "9999999/10000000", "--dim", "10"], 115200216),
+        (["norm", "C^3000000*A", "--q", "9999999/10000000", "--dim", "10"], _column_refusal(144000048)),
+        (["norm", "C^300000*A+B", "--q", "9999999/10000000", "--dim", "10"], _column_refusal(115200216)),
+        # the radius window starts at lo = 1995, whose powers of a q with a
+        # 3001-digit denominator are charged before they are formed
+        (
+            ["radius", "--q", "1/1" + "0" * 3000, "--kmax", "5", "--dim", "2000"],
+            "error: q^1995 needs an exact power of about 19882170 bits, over MAX_RADICAND_BITS = 2000000\n",
+        ),
     ],
-    ids=["B^5000", "B^1000", "C^20000", "C", "C^3000000*A", "C^300000*A+B"],
+    ids=["B^5000", "B^1000", "C^20000", "C", "C^3000000*A", "C^300000*A+B", "radius-window"],
 )
-def test_column_radicand_over_its_budget_is_refused(capsys, argv, bits):
+def test_column_radicand_over_its_budget_is_refused(capsys, argv, message):
     start = time.perf_counter()
     code = main(argv)
     elapsed = time.perf_counter() - start
@@ -458,8 +468,8 @@ def test_column_radicand_over_its_budget_is_refused(capsys, argv, bits):
     assert err.out == ""
     assert "MAX_RADICAND_BITS" in err.err
     assert elapsed < 2.0
-    if bits is not None:
-        assert err.err == f"error: a column of up to {bits} bits exceeds MAX_RADICAND_BITS = 2000000\n"
+    if message is not None:
+        assert err.err == message
 
 
 def test_norm_of_a_huge_c_power_at_a_tiny_q(capsys):

@@ -14,7 +14,9 @@ those two valuations apart from its dense parts.  The window estimators,
 the coherent vector, the C-free ``norm`` and the deep numeric ``apply`` at
 q = 1/2, none of which calls LAPACK, were taken before the rounded
 q-integers and C-free band entries stopped their exact arithmetic at the
-limit they round to.  Rendering sorts terms, so
+limit they round to.  The identity suite at kmax = 24, lmax = 18 was taken
+before products with q-integers were summed from windows and gcds and
+quotients of two q-integers read off their lengths.  Rendering sorts terms, so
 neither the bracket memo nor the order in which a bracket meets its terms may
 show in the output.  Hashes of ints and of tuples of ints do not depend on
 the hash seed, and a constant hashes as the number it equals; CI runs this
@@ -34,6 +36,8 @@ BRACKET = ["bracket", "2/3*A - q*C^2", "B^2 - 5/(1-q)*C*A"]
 IDENTITIES = ["verify", "identities", "--kmax", "8", "--lmax", "6"]
 #: coefficients of degree up to about 200, with (q^l - 1)^k scale factors
 IDENTITIES_DEEP = ["verify", "identities", "--kmax", "16", "--lmax", "12"]
+#: every chain step multiplies by a q-integer, up to {25}_q
+IDENTITIES_WIDE = ["verify", "identities", "--kmax", "24", "--lmax", "18"]
 POWER = ["normalize", "(A+B)^12"]
 APPLY = ["apply", "-3/7*B^2*C + 5/(1-q)*C^2*A - 2/3*q^2/(1-q)^2*C^3 + 4*B*C", "--n", "5", "--q", "1/3"]
 #: one term, whose norm is read from its peak column
@@ -103,6 +107,7 @@ def ratfun_hashes(capsys):
         (cli(*IDENTITIES, "--json"), "756022f2849f395e679438ea6a87b0ea8a0117bd925b3afe35af6822d8fcd500"),
         (cli(*IDENTITIES_DEEP), "1e18a879365de47cd079f6ae0509728b7544d2f6ec6cfd88e607bddd018f6a63"),
         (cli(*IDENTITIES_DEEP, "--json"), "0236e7d62abd08c8d9adc99e167d1c4b350764323879a32665bfea6123380b05"),
+        (cli(*IDENTITIES_WIDE), "8be6ccc6769d9915b5b6e3884cfb49150130db2cfdc73e3dd332199d91aafe89"),
         (cli(*POWER), "b5bae706ea00c1bcd719da2b1d89468b6a74f6d985889a8cea1651b0fbab9d2b"),
         (cli(*POWER, "--json"), "da1450fcddcfb8011267e942ad42b2c8e611214217158235550ae1cdf4f3c4be"),
         (cli(*NORMALIZE), "eb160f9c201aadd7288c118655df656d5d9d74a84100349a7f98e3940ef61b58"),
@@ -134,6 +139,7 @@ def ratfun_hashes(capsys):
         "identities-json",
         "identities-deep-text",
         "identities-deep-json",
+        "identities-wide-text",
         "power-text",
         "power-json",
         "normalize-text",

@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import basis_words_up_to, random_element
+from qheis import ratfun
 from qheis.algebra import (
+    COMPLETED,
     A,
     B,
     BasisWord,
@@ -269,6 +271,20 @@ def test_identity_suite_reports():
     )
     with pytest.raises(ValueError):
         verify_identity_suite(0, 3)
+
+
+def test_identity_suite_takes_no_remainder_sequence(monkeypatch):
+    # every gcd the suite and the gamma sums take is of q-integers or of
+    # equal operands, read off their lengths, from cold memos
+    def refuse(a, b):
+        raise AssertionError(f"a remainder-sequence step on {a} and {b}")
+
+    monkeypatch.setattr(COMPLETED, "_product_memo", {})
+    monkeypatch.setattr(COMPLETED, "_bracket_memo", {})
+    monkeypatch.setattr(ratfun, "_prem", refuse)
+    assert len(verify_identity_suite(8, 6)) == 9 * 6 * 2 + 9 * 2
+    for k in range(9):
+        gamma_sum_rhs(k)
 
 
 # -- exact application to basis vectors ---------------------------------------------

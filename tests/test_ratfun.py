@@ -6,7 +6,10 @@ from fractions import Fraction
 
 import pytest
 from conftest import COPIERS, poly_mul, random_qpoly_pair
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qheis import ratfun
 from qheis.ratfun import (
     PoleError,
     QPolynomial,
@@ -18,6 +21,11 @@ from qheis.ratfun import (
     qbracket_value,
     scaled_root,
     signed_root,
+    _divexact,
+    _gcd,
+    _mul,
+    _prem,
+    _primitive,
 )
 
 ONE = RatFun.one()
@@ -382,3 +390,106 @@ def test_int_and_fraction_operands_still_coerce():
         "x" * RF_Q
     with pytest.raises(TypeError):
         ONE * 0.5
+
+
+# -- the q-integer kernels: {n}_q is the tuple of n ones ------------------------
+
+KERNELS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+lengths = st.integers(1, 40)
+
+
+@st.composite
+def int_polys(draw):
+    """A nonzero integer polynomial with zero and negative coefficients."""
+    cs = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=30))
+    if not cs[-1]:
+        cs[-1] = draw(st.sampled_from([-3, -1, 1, 2]))
+    return tuple(cs)
+
+
+def qint(n: int) -> tuple:
+    return (1,) * n
+
+
+def remainder_sequence(a: tuple, b: tuple) -> tuple:
+    """The primitive remainder sequence that ``_gcd`` runs on polynomials
+    that are not both q-integers."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            break
+        a, b = b, _primitive(r)[1]
+    return b
+
+
+@KERNELS
+@given(int_polys(), lengths)
+def test_product_with_a_q_integer_is_the_schoolbook_product(a, n):
+    want = poly_mul(a, qint(n))
+    for got in (_mul(a, qint(n)), _mul(qint(n), a)):
+        assert got == want
+        assert type(got) is tuple and all(type(x) is int for x in got)
+
+
+@KERNELS
+@given(lengths, lengths)
+def test_gcd_of_two_q_integers_is_the_q_integer_of_the_gcd(m, n):
+    g = _gcd(qint(m), qint(n))
+    assert g == qint(math.gcd(m, n)) == remainder_sequence(qint(m), qint(n))
+
+
+@KERNELS
+@given(lengths, st.integers(1, 12), int_polys())
+def test_exact_quotients_round_trip_through_the_product(g, k, a):
+    # {kg}_q / {g}_q = 1 + q^g + ... + q^((k-1)g)
+    quot = _divexact(qint(k * g), qint(g))
+    assert quot == tuple(1 if i % g == 0 else 0 for i in range((k - 1) * g + 1))
+    assert _mul(quot, qint(g)) == qint(k * g)
+    # a q-integer divided out of a product, and the product by it
+    assert _divexact(_mul(a, qint(g)), qint(g)) == a
+    if a[-1] > 0:
+        assert _divexact(_mul(a, qint(g)), a) == qint(g)
+
+
+@KERNELS
+@given(int_polys())
+def test_equal_operands_take_the_fast_paths(p):
+    # a remainder sequence or a long division would build a new tuple
+    a = _primitive(p + (1,))[1]
+    assert _gcd(a, a) is a
+    assert _divexact(a, a) is ratfun._ONE
+
+
+def test_q_integer_gcds_take_no_remainder_sequence(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("a remainder-sequence step ran")
+
+    monkeypatch.setattr(ratfun, "_prem", refuse)
+    for m in range(1, 41):
+        for n in range(1, 41):
+            assert _gcd(qint(m), qint(n)) == qint(math.gcd(m, n))
+    assert _gcd((2, 0, 1), (2, 0, 1)) == (2, 0, 1)
+
+
+@st.composite
+def q_integer_values(draw):
+    """c q^v (1 - q)^w {n1}_q^e1 / {n2}_q^e2: a value full of q-integers."""
+    c = Fraction(draw(st.integers(-7, 7).filter(bool)), draw(st.integers(1, 5)))
+    x = RatFun.from_fraction(c) * RF_Q ** draw(st.integers(-3, 3)) * RF_ONE_MINUS_Q ** draw(st.integers(-3, 3))
+    for _ in range(draw(st.integers(0, 3))):
+        x = x * qbracket(draw(st.integers(1, 25))) ** draw(st.integers(-2, 2))
+    return x
+
+
+@KERNELS
+@given(q_integer_values(), q_integer_values())
+def test_values_full_of_q_integers_evaluate_like_their_fractions(x, y):
+    for q0 in (Fraction(1, 3), Fraction(5, 7), Fraction(3, 2)):
+        fx, fy = x.evaluate(q0), y.evaluate(q0)
+        assert (x * y).evaluate(q0) == fx * fy
+        assert (x / y).evaluate(q0) == fx / fy
+        assert (x + y).evaluate(q0) == fx + fy
+        assert (x - y).evaluate(q0) == fx - fy
